@@ -28,12 +28,14 @@
 //! answers busy and closes, so a flood degrades into explicit retry
 //! traffic instead of hung connections.
 //!
-//! Every counter the server keeps is mirrored into an optional
-//! [`MetricsRegistry`] under `server.*`, alongside the service's own
-//! `service.*` metrics, and the two families reconcile exactly: each
-//! CRC-valid frame resolves as exactly one of ok / busy / expired /
-//! failed / refused / internal / protocol-error, and each admitted
-//! request is one service submission.
+//! The server's accounting lives in [`MetricsRegistry`] handles under
+//! `server.*` — counters, the connection and in-flight gauges and the
+//! request-latency histogram — and nowhere else: [`ServerStats`] is a
+//! snapshot of those handles. Given the service's registry, the two
+//! families sit side by side and reconcile exactly: each CRC-valid
+//! frame resolves as exactly one of ok / busy / expired / failed /
+//! refused / internal / protocol-error, and each admitted request is
+//! one service submission.
 
 use crate::net::{
     decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
@@ -44,7 +46,7 @@ use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use osss_sim::SimTime;
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,9 +95,12 @@ pub struct ServerConfig {
     pub drain_read_timeout: Duration,
     /// Total budget for that drain.
     pub drain_deadline: Duration,
-    /// Observability sink. When set, the server exports `server.*`
-    /// counters, the active-connection gauge and the request-latency
-    /// histogram.
+    /// Registry holding the server's accounting under `server.*`:
+    /// outcome counters, the active/open-connection and in-flight byte
+    /// gauges, and the request-latency histogram. These handles are the
+    /// only tally — [`DecodeServer::stats`] reads them — so two servers
+    /// given the same registry also share their stats. `None` gives the
+    /// server a private registry.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -119,8 +124,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Outcome tallies, snapshot via [`DecodeServer::stats`] and returned
-/// by [`DecodeServer::shutdown`].
+/// Outcome tallies — a snapshot of the `server.*` registry counters —
+/// from [`DecodeServer::stats`] and [`DecodeServer::shutdown`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted and handed to the handler pool.
@@ -181,27 +186,7 @@ impl ServerStats {
     }
 }
 
-#[derive(Default)]
-struct Tallies {
-    accepted: AtomicU64,
-    conn_rejected: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    crc_rejects: AtomicU64,
-    frame_rejects: AtomicU64,
-    protocol_errors: AtomicU64,
-    ok: AtomicU64,
-    busy: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    refused: AtomicU64,
-    internal: AtomicU64,
-    conn_capped: AtomicU64,
-    frame_timeouts: AtomicU64,
-    idle_reaped: AtomicU64,
-    admission_rejected: AtomicU64,
-}
-
+/// The server's registry handles — its one accounting source.
 struct Meters {
     accepted: Counter,
     conn_rejected: Counter,
@@ -254,77 +239,28 @@ impl Meters {
     }
 }
 
-/// `Duration` → [`SimTime`], saturating (same clamping as the service
-/// layer's histograms, so `server.latency` and `service.service_time`
-/// are directly comparable).
-fn sim_time(d: Duration) -> SimTime {
-    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    SimTime::ps(ns.saturating_mul(1_000))
-}
-
 struct Shared {
     service: Arc<DecodeService>,
-    tallies: Tallies,
-    meters: Option<Meters>,
+    meters: Meters,
     shutdown: AtomicBool,
-    active: AtomicU64,
-    open_conns: AtomicU64,
-    inflight_bytes: AtomicU64,
     config: ServerConfig,
 }
 
 impl Shared {
-    fn bump(&self, tally: &AtomicU64, meter: impl FnOnce(&Meters) -> &Counter) {
-        tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            meter(m).add(1);
-        }
-    }
-
-    fn set_active(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.active.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.active.fetch_sub((-delta) as u64, Ordering::Relaxed) - (-delta) as u64
-        };
-        if let Some(m) = &self.meters {
-            m.active.set(now as i64);
-        }
-    }
-
-    fn open_add(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.open_conns.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.open_conns
-                .fetch_sub((-delta) as u64, Ordering::Relaxed)
-                - (-delta) as u64
-        };
-        if let Some(m) = &self.meters {
-            m.open_conns.set(now as i64);
-        }
-    }
-
     /// Reserves `bytes` against the in-flight admission budget; `false`
     /// means the request must be shed.
-    fn try_admit(&self, bytes: u64) -> bool {
-        let max = self.config.max_inflight_bytes as u64;
-        let prev = self.inflight_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if prev.saturating_add(bytes) > max {
-            self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    fn try_admit(&self, bytes: i64) -> bool {
+        let max = i64::try_from(self.config.max_inflight_bytes).unwrap_or(i64::MAX);
+        if self.meters.inflight_bytes.add(bytes) > max {
+            self.release(bytes);
             return false;
-        }
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set((prev + bytes) as i64);
         }
         true
     }
 
-    fn release(&self, bytes: u64) {
-        let now = self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed) - bytes;
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
+    fn release(&self, bytes: i64) {
+        let now = self.meters.inflight_bytes.add(-bytes);
+        debug_assert!(now >= 0, "in-flight bytes went negative: {now}");
     }
 }
 
@@ -351,15 +287,10 @@ impl DecodeServer {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let meters = config.metrics.as_ref().map(Meters::new);
         let shared = Arc::new(Shared {
             service,
-            tallies: Tallies::default(),
-            meters,
+            meters: Meters::new(&config.metrics.clone().unwrap_or_default()),
             shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            inflight_bytes: AtomicU64::new(0),
             config: config.clone(),
         });
 
@@ -398,34 +329,34 @@ impl DecodeServer {
         self.local_addr
     }
 
-    /// A snapshot of the outcome tallies.
+    /// A snapshot of the outcome tallies, read from the registry
+    /// handles (shared with any other server on the same registry).
     pub fn stats(&self) -> ServerStats {
-        let t = &self.shared.tallies;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let m = &self.shared.meters;
         ServerStats {
-            accepted: get(&t.accepted),
-            conn_rejected: get(&t.conn_rejected),
-            frames_in: get(&t.frames_in),
-            frames_out: get(&t.frames_out),
-            crc_rejects: get(&t.crc_rejects),
-            frame_rejects: get(&t.frame_rejects),
-            protocol_errors: get(&t.protocol_errors),
-            ok: get(&t.ok),
-            busy: get(&t.busy),
-            expired: get(&t.expired),
-            failed: get(&t.failed),
-            refused: get(&t.refused),
-            internal: get(&t.internal),
-            conn_capped: get(&t.conn_capped),
-            frame_timeouts: get(&t.frame_timeouts),
-            idle_reaped: get(&t.idle_reaped),
-            admission_rejected: get(&t.admission_rejected),
+            accepted: m.accepted.get(),
+            conn_rejected: m.conn_rejected.get(),
+            frames_in: m.frames_in.get(),
+            frames_out: m.frames_out.get(),
+            crc_rejects: m.crc_rejects.get(),
+            frame_rejects: m.frame_rejects.get(),
+            protocol_errors: m.protocol_errors.get(),
+            ok: m.ok.get(),
+            busy: m.busy.get(),
+            expired: m.expired.get(),
+            failed: m.failed.get(),
+            refused: m.refused.get(),
+            internal: m.internal.get(),
+            conn_capped: m.conn_capped.get(),
+            frame_timeouts: m.frame_timeouts.get(),
+            idle_reaped: m.idle_reaped.get(),
+            admission_rejected: m.admission_rejected.get(),
         }
     }
 
     /// Connections currently inside a handler.
     pub fn active_connections(&self) -> u64 {
-        self.shared.active.load(Ordering::Relaxed)
+        u64::try_from(self.shared.meters.active.get()).unwrap_or(0)
     }
 
     /// Stops accepting, drains the handler pool and returns the final
@@ -486,22 +417,23 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
             );
             return;
         }
-        if shared.open_conns.load(Ordering::Relaxed) >= shared.config.max_connections as u64 {
+        let m = &shared.meters;
+        if u64::try_from(m.open_conns.get()).unwrap_or(0) >= shared.config.max_connections as u64 {
             // Connection cap: shed at the door with an explicit busy
             // frame instead of letting connections pile up unserved.
-            shared.bump(&shared.tallies.conn_capped, |m| &m.conn_capped);
+            m.conn_capped.inc();
             reject_busy(stream, &shared.config);
             continue;
         }
-        shared.open_add(1);
+        m.open_conns.add(1);
         match tx.try_send(stream) {
-            Ok(()) => shared.bump(&shared.tallies.accepted, |m| &m.accepted),
+            Ok(()) => m.accepted.inc(),
             Err(mpsc::TrySendError::Full(stream)) => {
                 // Handler pool saturated: answer busy and close so the
                 // client retries with backoff instead of queueing
                 // invisibly.
-                shared.open_add(-1);
-                shared.bump(&shared.tallies.conn_rejected, |m| &m.conn_rejected);
+                m.open_conns.add(-1);
+                m.conn_rejected.inc();
                 reject_busy(stream, &shared.config);
             }
             Err(mpsc::TrySendError::Disconnected(_)) => return,
@@ -564,10 +496,11 @@ fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
             guard.recv()
         };
         let Ok(stream) = stream else { return };
-        shared.set_active(1);
+        let m = &shared.meters;
+        m.active.add(1);
         serve_connection(shared, stream);
-        shared.set_active(-1);
-        shared.open_add(-1);
+        m.active.add(-1);
+        m.open_conns.add(-1);
         if shared.shutdown.load(Ordering::SeqCst) {
             // Keep draining queued connections so no accepted client
             // hangs; recv() errors once the queue is empty and the
@@ -654,7 +587,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                     if last_activity.elapsed() >= idle {
                         // Reap: free the handler for live traffic. The
                         // peer sees clean EOF between frames.
-                        shared.bump(&shared.tallies.idle_reaped, |m| &m.idle_reaped);
+                        shared.meters.idle_reaped.inc();
                         let _ = stream.shutdown(std::net::Shutdown::Both);
                         return;
                     }
@@ -690,7 +623,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         match read_result {
             Ok(None) => return,
             Ok(Some(payload)) => {
-                shared.bump(&shared.tallies.frames_in, |m| &m.frames_in);
+                shared.meters.frames_in.inc();
                 if !handle_frame(shared, &mut stream, &payload) {
                     return;
                 }
@@ -702,7 +635,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 // The whole-frame deadline elapsed: evict the peer.
                 // (Framing is lost mid-frame, so the connection closes;
                 // the error frame is best-effort.)
-                shared.bump(&shared.tallies.frame_timeouts, |m| &m.frame_timeouts);
+                shared.meters.frame_timeouts.inc();
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error("whole-frame read deadline exceeded"),
@@ -714,7 +647,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 // The frame was fully read, so the stream is still in
                 // sync — but its content is untrustworthy. Report and
                 // close.
-                shared.bump(&shared.tallies.crc_rejects, |m| &m.crc_rejects);
+                shared.meters.crc_rejects.inc();
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error("frame crc mismatch"),
@@ -725,7 +658,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(e @ (WireError::BadMagic(_) | WireError::Oversized { .. })) => {
                 // Framing is lost; no way to find the next frame
                 // boundary. Report and close.
-                shared.bump(&shared.tallies.frame_rejects, |m| &m.frame_rejects);
+                shared.meters.frame_rejects.inc();
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error(&e.to_string()),
@@ -736,7 +669,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(_) => {
                 // Truncated mid-frame or transport failure: the peer
                 // is gone or stalled; nothing to answer.
-                shared.bump(&shared.tallies.frame_rejects, |m| &m.frame_rejects);
+                shared.meters.frame_rejects.inc();
                 return;
             }
         }
@@ -747,24 +680,23 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 /// should close.
 fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool {
     let started = Instant::now();
+    let m = &shared.meters;
     let response = match decode_request(payload) {
         Err(e) => {
             // The payload failed the grammar but the *frame* was
             // intact, so the connection stays usable.
-            shared.bump(&shared.tallies.protocol_errors, |m| &m.protocol_errors);
+            m.protocol_errors.inc();
             encode_protocol_error(&e.to_string())
         }
         Ok(wire) => {
-            let bytes = wire.stream.len() as u64;
+            let bytes = wire.stream.len() as i64;
             if !shared.try_admit(bytes) {
                 // Admission budget exhausted: shed with the same
                 // retryable-busy answer as a full queue (clients
                 // already back off on it), and tally the shed
                 // separately for observability.
-                shared.bump(&shared.tallies.busy, |m| &m.busy);
-                shared.bump(&shared.tallies.admission_rejected, |m| {
-                    &m.admission_rejected
-                });
+                m.busy.inc();
+                m.admission_rejected.inc();
                 encode_busy()
             } else {
                 let outcome = shared
@@ -774,33 +706,29 @@ fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool
                 shared.release(bytes);
                 match outcome {
                     Ok(resp) => {
-                        shared.bump(&shared.tallies.ok, |m| &m.ok);
+                        m.ok.inc();
                         let report = resp.report.as_ref().map(WireReport::summarise);
                         encode_ok(&resp.image, report.as_ref(), resp.served_from)
                     }
                     Err(err) => {
-                        let (tally, meter): (_, fn(&Meters) -> &Counter) = match &err {
-                            ServiceError::QueueFull => (&shared.tallies.busy, |m| &m.busy),
-                            ServiceError::DeadlineExceeded => {
-                                (&shared.tallies.expired, |m| &m.expired)
-                            }
-                            ServiceError::Decode(_) => (&shared.tallies.failed, |m| &m.failed),
-                            ServiceError::ShuttingDown => (&shared.tallies.refused, |m| &m.refused),
-                            _ => (&shared.tallies.internal, |m| &m.internal),
-                        };
-                        shared.bump(tally, meter);
+                        match &err {
+                            ServiceError::QueueFull => &m.busy,
+                            ServiceError::DeadlineExceeded => &m.expired,
+                            ServiceError::Decode(_) => &m.failed,
+                            ServiceError::ShuttingDown => &m.refused,
+                            _ => &m.internal,
+                        }
+                        .inc();
                         encode_service_error(&err)
                     }
                 }
             }
         }
     };
-    if let Some(m) = &shared.meters {
-        m.latency.observe(sim_time(started.elapsed()));
-    }
+    m.latency.observe(SimTime::from_duration(started.elapsed()));
     match write_frame(stream, &response) {
         Ok(()) => {
-            shared.bump(&shared.tallies.frames_out, |m| &m.frames_out);
+            m.frames_out.inc();
             true
         }
         Err(_) => false,

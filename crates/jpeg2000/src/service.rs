@@ -61,7 +61,7 @@ use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use osss_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -74,8 +74,9 @@ use std::time::{Duration, Instant};
 /// accounting before returning, so the state behind a poisoned lock is
 /// still consistent and the right response is to keep serving — not to
 /// propagate a panic into every later `submit`/`stats`/`shutdown`
-/// (regression: `service_survives_a_poisoned_lock`).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// (regression: `service_survives_a_poisoned_lock`). The chaos proxy
+/// relies on the same argument for its stats slots.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -110,8 +111,13 @@ pub struct ServiceConfig {
     /// Byte budget for the decoded-image cache (`0` disables it). An
     /// entry's cost is `width * height * components * 4` bytes.
     pub image_cache_bytes: usize,
-    /// Observability sink. When set, the service exports queue-depth,
-    /// wait/service-time, cache and outcome metrics under `service.*`.
+    /// Registry holding the service's accounting under `service.*`:
+    /// outcome and cache counters, queue-depth, in-flight and
+    /// single-flight gauges with their high-water marks, and the
+    /// wait/service-time histograms. These handles are the only tally —
+    /// [`DecodeService::stats`] reads them — so two services given the
+    /// same registry also share their stats. `None` gives the service a
+    /// private registry.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -592,30 +598,8 @@ struct QueueState {
     shutting_down: bool,
 }
 
-/// Atomic outcome tallies; mirrored to the [`MetricsRegistry`] when
-/// configured, kept here too so [`DecodeService::stats`] needs no
-/// registry.
-#[derive(Default)]
-struct Tallies {
-    submitted: AtomicU64,
-    coalesced: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    header_hits: AtomicU64,
-    header_misses: AtomicU64,
-    header_evictions: AtomicU64,
-    image_hits: AtomicU64,
-    image_misses: AtomicU64,
-    image_evictions: AtomicU64,
-    max_queue_depth: AtomicU64,
-    inflight_bytes: AtomicU64,
-    max_inflight_bytes: AtomicU64,
-}
-
-/// Point-in-time service accounting, from [`DecodeService::stats`].
+/// Point-in-time service accounting, from [`DecodeService::stats`]: a
+/// snapshot of the `service.*` registry handles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -668,9 +652,12 @@ impl ServiceStats {
     }
 }
 
+/// The service's registry handles — its one accounting source.
 struct Meters {
     queue_depth: Gauge,
+    max_queue_depth: Gauge,
     inflight_bytes: Gauge,
+    max_inflight_bytes: Gauge,
     singleflight_inflight: Gauge,
     queue_wait: Histogram,
     service_time: Histogram,
@@ -693,7 +680,9 @@ impl Meters {
     fn new(reg: &MetricsRegistry) -> Self {
         Meters {
             queue_depth: reg.gauge("service.queue.depth"),
+            max_queue_depth: reg.gauge("service.queue.max_depth"),
             inflight_bytes: reg.gauge("service.inflight_bytes"),
+            max_inflight_bytes: reg.gauge("service.max_inflight_bytes"),
             singleflight_inflight: reg.gauge("service.singleflight_inflight"),
             queue_wait: reg.histogram("service.queue_wait"),
             service_time: reg.histogram("service.service_time"),
@@ -714,13 +703,6 @@ impl Meters {
     }
 }
 
-/// `Duration` → [`SimTime`], saturating: `as_nanos()` is `u128` and
-/// `SimTime::ns` multiplies unchecked, so clamp at both steps.
-fn sim_time(d: Duration) -> SimTime {
-    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    SimTime::ps(ns.saturating_mul(1_000))
-}
-
 struct Shared {
     state: Mutex<QueueState>,
     /// Signalled when work arrives (workers wait here).
@@ -738,70 +720,23 @@ struct Shared {
     singleflight: Mutex<HashMap<FlightKey, Vec<Waiter>>>,
     header_cache: Mutex<LruCache<(StreamKey, bool), CachedHeader>>,
     image_cache: Mutex<LruCache<(StreamKey, RequestKind), CachedImage>>,
-    tallies: Tallies,
-    meters: Option<Meters>,
+    meters: Meters,
 }
 
 impl Shared {
-    fn bump(&self, tally: &AtomicU64, meter: impl FnOnce(&Meters) -> &Counter) {
-        tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            meter(m).add(1);
-        }
-    }
-
-    fn set_depth(&self, depth: usize) {
-        let d = depth as u64;
-        self.tallies.max_queue_depth.fetch_max(d, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            m.queue_depth.set(depth as i64);
-        }
-    }
-
-    fn add_inflight(&self, bytes: u64) {
-        let now = self
-            .tallies
-            .inflight_bytes
-            .fetch_add(bytes, Ordering::Relaxed)
-            + bytes;
-        self.tallies
-            .max_inflight_bytes
-            .fetch_max(now, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
-    }
-
-    fn sub_inflight(&self, bytes: u64) {
-        let now = self
-            .tallies
-            .inflight_bytes
-            .fetch_sub(bytes, Ordering::Relaxed)
-            - bytes;
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
-    }
-
-    fn set_singleflight(&self, groups: usize) {
-        if let Some(m) = &self.meters {
-            m.singleflight_inflight.set(groups as i64);
-        }
-    }
-
     /// Resolves one waiter with an error outcome, tallying it and
     /// recording how long it waited between submission and resolution.
     fn resolve_err(&self, waiter: &Waiter, err: ServiceError, now: Instant) {
-        let (tally, meter): (&AtomicU64, fn(&Meters) -> &Counter) = match &err {
-            ServiceError::DeadlineExceeded => (&self.tallies.expired, |m| &m.expired),
-            ServiceError::Cancelled => (&self.tallies.cancelled, |m| &m.cancelled),
-            _ => (&self.tallies.failed, |m| &m.failed),
-        };
-        self.bump(tally, meter);
-        if let Some(m) = &self.meters {
-            m.queue_wait
-                .observe(sim_time(now.saturating_duration_since(waiter.enqueued)));
+        let m = &self.meters;
+        match &err {
+            ServiceError::DeadlineExceeded => &m.expired,
+            ServiceError::Cancelled => &m.cancelled,
+            _ => &m.failed,
         }
+        .inc();
+        m.queue_wait.observe(SimTime::from_duration(
+            now.saturating_duration_since(waiter.enqueued),
+        ));
         let _ = waiter.reply.send(Err(err));
     }
 }
@@ -842,9 +777,7 @@ fn sweep(shared: &Shared, fkey: FlightKey) -> Sweep {
     });
     if group.is_empty() {
         flights.remove(&fkey);
-        let groups = flights.len();
-        drop(flights);
-        shared.set_singleflight(groups);
+        shared.meters.singleflight_inflight.add(-1);
         Sweep::Abandon
     } else {
         Sweep::Continue
@@ -876,8 +809,7 @@ impl DecodeService {
             singleflight: Mutex::new(HashMap::new()),
             header_cache: Mutex::new(LruCache::new(config.header_cache_bytes)),
             image_cache: Mutex::new(LruCache::new(config.image_cache_bytes)),
-            tallies: Tallies::default(),
-            meters: config.metrics.as_ref().map(Meters::new),
+            meters: Meters::new(&config.metrics.unwrap_or_default()),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -1021,7 +953,7 @@ impl DecodeService {
                 waiter.coalesced = true;
                 group.push(waiter);
                 drop(flights);
-                shared.bump(&shared.tallies.coalesced, |m| &m.coalesced);
+                shared.meters.coalesced.inc();
                 return Ok(());
             }
             let mut state = lock_unpoisoned(&shared.state);
@@ -1029,34 +961,31 @@ impl DecodeService {
                 return Err(ServiceError::ShuttingDown);
             }
             if state.queue.len() < shared.capacity {
+                // Every gauge moves while its lock is held, before the
+                // job is visible to a worker — which may otherwise
+                // finish and release it first.
+                let m = &shared.meters;
                 flights.insert(fkey, vec![waiter]);
-                let groups = flights.len();
+                m.singleflight_inflight.add(1);
                 drop(flights);
-                let bytes = job.stream.len() as u64;
+                let bytes = m.inflight_bytes.add(job.stream.len() as i64);
+                m.max_inflight_bytes.raise_to(bytes);
+                m.max_queue_depth.raise_to(m.queue_depth.add(1));
                 state.queue.push_back(job);
-                let depth = state.queue.len();
                 drop(state);
-                shared.bump(&shared.tallies.submitted, |m| &m.submitted);
-                shared.set_singleflight(groups);
-                shared.set_depth(depth);
-                shared.add_inflight(bytes);
+                m.submitted.inc();
                 shared.work.notify_one();
                 return Ok(());
             }
             // Queue full. Never sleep holding the flight map — workers
             // need it to sweep and broadcast.
             drop(flights);
-            let Some(wait_deadline) = wait_deadline else {
+            let now = Instant::now();
+            let Some(wait_deadline) = wait_deadline.filter(|&d| now < d) else {
                 drop(state);
-                shared.bump(&shared.tallies.rejected, |m| &m.rejected);
+                shared.meters.rejected.inc();
                 return Err(ServiceError::QueueFull);
             };
-            let now = Instant::now();
-            if now >= wait_deadline {
-                drop(state);
-                shared.bump(&shared.tallies.rejected, |m| &m.rejected);
-                return Err(ServiceError::QueueFull);
-            }
             let state = shared
                 .space
                 .wait_timeout(state, wait_deadline - now)
@@ -1068,26 +997,28 @@ impl DecodeService {
         }
     }
 
-    /// A snapshot of the outcome and cache tallies.
+    /// A snapshot of the outcome and cache tallies, read from the
+    /// registry handles (shared with any other service on the same
+    /// registry).
     pub fn stats(&self) -> ServiceStats {
-        let t = &self.shared.tallies;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let m = &self.shared.meters;
+        let peak = |g: &Gauge| u64::try_from(g.get()).unwrap_or(0);
         ServiceStats {
-            submitted: get(&t.submitted),
-            coalesced: get(&t.coalesced),
-            completed: get(&t.completed),
-            rejected: get(&t.rejected),
-            expired: get(&t.expired),
-            cancelled: get(&t.cancelled),
-            failed: get(&t.failed),
-            header_hits: get(&t.header_hits),
-            header_misses: get(&t.header_misses),
-            header_evictions: get(&t.header_evictions),
-            image_hits: get(&t.image_hits),
-            image_misses: get(&t.image_misses),
-            image_evictions: get(&t.image_evictions),
-            max_queue_depth: get(&t.max_queue_depth),
-            max_inflight_bytes: get(&t.max_inflight_bytes),
+            submitted: m.submitted.get(),
+            coalesced: m.coalesced.get(),
+            completed: m.completed.get(),
+            rejected: m.rejected.get(),
+            expired: m.expired.get(),
+            cancelled: m.cancelled.get(),
+            failed: m.failed.get(),
+            header_hits: m.header_hits.get(),
+            header_misses: m.header_misses.get(),
+            header_evictions: m.header_evictions.get(),
+            image_hits: m.image_hits.get(),
+            image_misses: m.image_misses.get(),
+            image_evictions: m.image_evictions.get(),
+            max_queue_depth: peak(&m.max_queue_depth),
+            max_inflight_bytes: peak(&m.max_inflight_bytes),
         }
     }
 
@@ -1143,7 +1074,7 @@ fn worker_loop(shared: &Shared) {
             let mut state = lock_unpoisoned(&shared.state);
             loop {
                 if let Some(job) = state.queue.pop_front() {
-                    shared.set_depth(state.queue.len());
+                    shared.meters.queue_depth.add(-1);
                     break job;
                 }
                 if state.shutting_down {
@@ -1181,9 +1112,8 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
             ))))
         });
     let service_time = started.elapsed();
-    if let Some(m) = &shared.meters {
-        m.service_time.observe(sim_time(service_time));
-    }
+    let m = &shared.meters;
+    m.service_time.observe(SimTime::from_duration(service_time));
     // Retire the flight: everyone still attached gets this outcome —
     // including waiters whose deadline has passed by now (the result
     // won the race) and waiters who attached mid-decode. Removing the
@@ -1198,20 +1128,18 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
         Vec::new()
     } else {
         let mut flights = lock_unpoisoned(&shared.singleflight);
-        let ws = flights.remove(&job.flight_key()).unwrap_or_default();
-        let groups = flights.len();
-        drop(flights);
-        shared.set_singleflight(groups);
-        ws
+        let ws = flights.remove(&job.flight_key());
+        if ws.is_some() {
+            m.singleflight_inflight.add(-1);
+        }
+        ws.unwrap_or_default()
     };
     match outcome {
         Ok((image, report, served_from)) => {
             for w in waiters {
                 let queue_wait = started.saturating_duration_since(w.enqueued);
-                shared.bump(&shared.tallies.completed, |m| &m.completed);
-                if let Some(m) = &shared.meters {
-                    m.queue_wait.observe(sim_time(queue_wait));
-                }
+                m.completed.inc();
+                m.queue_wait.observe(SimTime::from_duration(queue_wait));
                 let from = if w.coalesced {
                     ServedFrom::Coalesced
                 } else {
@@ -1238,7 +1166,8 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
             }
         }
     }
-    shared.sub_inflight(job.stream.len() as u64);
+    let now = m.inflight_bytes.add(-(job.stream.len() as i64));
+    debug_assert!(now >= 0, "in-flight bytes went negative: {now}");
 }
 
 type Served = (Arc<Image>, Option<DecodeReport>, ServedFrom);
@@ -1272,8 +1201,9 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
 
     // Level 2: full decoded image, under the submit-time key.
     let image_key = (job.key, job.kind);
+    let m = &shared.meters;
     if let Some(hit) = lock_unpoisoned(&shared.image_cache).get(&image_key) {
-        shared.bump(&shared.tallies.image_hits, |m| &m.image_hits);
+        m.image_hits.inc();
         return Ok((hit.image, hit.report, ServedFrom::ImageCache));
     }
 
@@ -1283,11 +1213,11 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     let cached = lock_unpoisoned(&shared.header_cache).get(&header_key);
     let (header, served_from) = match cached {
         Some(h) => {
-            shared.bump(&shared.tallies.header_hits, |m| &m.header_hits);
+            m.header_hits.inc();
             (h, ServedFrom::HeaderCache)
         }
         None => {
-            shared.bump(&shared.tallies.header_misses, |m| &m.header_misses);
+            m.header_misses.inc();
             let parsed = if tolerant {
                 StagedDecoder::new_tolerant(&job.stream).map(|(dec, report)| CachedHeader {
                     dec: Arc::new(dec),
@@ -1304,7 +1234,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
                 Err(e) => {
                     // The parse failure is this flight's one image-
                     // cache miss: it reached the decode path cold.
-                    shared.bump(&shared.tallies.image_misses, |m| &m.image_misses);
+                    m.image_misses.inc();
                     return Err(Abort::Error(ServiceError::Decode(e)));
                 }
             };
@@ -1313,13 +1243,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
                 header.clone(),
                 job.stream.len(),
             );
-            shared
-                .tallies
-                .header_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            if let Some(m) = &shared.meters {
-                m.header_evictions.add(evicted);
-            }
+            m.header_evictions.add(evicted);
             (header, ServedFrom::Cold)
         }
     };
@@ -1333,11 +1257,11 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     let image_key = (job.key, kind);
     if kind != job.kind {
         if let Some(hit) = lock_unpoisoned(&shared.image_cache).get(&image_key) {
-            shared.bump(&shared.tallies.image_hits, |m| &m.image_hits);
+            m.image_hits.inc();
             return Ok((hit.image, hit.report, ServedFrom::ImageCache));
         }
     }
-    shared.bump(&shared.tallies.image_misses, |m| &m.image_misses);
+    m.image_misses.inc();
 
     let (image, report) = run_decode(&header, kind, scratch, &check)?;
     let image = Arc::new(image);
@@ -1349,13 +1273,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
         },
         image_bytes(&image),
     );
-    shared
-        .tallies
-        .image_evictions
-        .fetch_add(evicted, Ordering::Relaxed);
-    if let Some(m) = &shared.meters {
-        m.image_evictions.add(evicted);
-    }
+    m.image_evictions.add(evicted);
     Ok((image, report, served_from))
 }
 

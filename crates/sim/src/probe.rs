@@ -75,6 +75,12 @@ impl Gauge {
         self.0.fetch_add(d, Ordering::Relaxed) + d
     }
 
+    /// Raises the value to at least `v` — a high-water mark — and
+    /// returns the new value. Concurrent raises never lose the larger.
+    pub fn raise_to(&self, v: i64) -> i64 {
+        self.0.fetch_max(v, Ordering::Relaxed).max(v)
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -481,6 +487,28 @@ mod tests {
         assert_eq!(h.total(), SimTime::ns(40));
         assert_eq!(h.mean(), SimTime::ns(20));
         assert_eq!(h.max(), SimTime::ns(30));
+    }
+
+    #[test]
+    fn gauge_raise_to_keeps_the_high_water_mark() {
+        let g = MetricsRegistry::new().gauge("peak");
+        assert_eq!(g.raise_to(5), 5);
+        assert_eq!(g.raise_to(3), 5, "a lower value never lowers the mark");
+        assert_eq!(g.get(), 5);
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let g = g.clone();
+                std::thread::spawn(move || {
+                    for v in 0..1000 {
+                        g.raise_to(t * 1000 + v);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(g.get(), 3999, "concurrent raises keep the largest");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::time::Duration;
 
 /// A point in (or duration of) simulated time, stored in picoseconds.
 ///
@@ -44,6 +45,11 @@ impl SimTime {
     /// Creates a time from seconds.
     pub const fn secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000_000)
+    }
+    /// Converts a wall-clock [`Duration`], saturating at [`SimTime::MAX`]
+    /// — the form host-side latencies take in the metrics histograms.
+    pub fn from_duration(d: Duration) -> Self {
+        SimTime(u64::try_from(d.as_nanos().saturating_mul(1_000)).unwrap_or(u64::MAX))
     }
 
     /// The raw picosecond count.
@@ -251,6 +257,16 @@ impl fmt::Display for Frequency {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_duration_converts_and_saturates() {
+        assert_eq!(
+            SimTime::from_duration(Duration::from_micros(3)),
+            SimTime::us(3)
+        );
+        assert_eq!(SimTime::from_duration(Duration::ZERO), SimTime::ZERO);
+        assert_eq!(SimTime::from_duration(Duration::MAX), SimTime::MAX);
+    }
 
     #[test]
     fn unit_constructors_agree() {

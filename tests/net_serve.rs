@@ -230,6 +230,13 @@ fn server_and_service_metrics_reconcile_exactly() {
         snap.histograms.get("server.latency").map(|h| h.count()),
         Some(stats.ok + stats.expired),
     );
-    // No connection left active after shutdown.
-    assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
+    // No connection left active or open, no request bytes left in
+    // flight, after shutdown.
+    for name in [
+        "server.active",
+        "server.open_conns",
+        "server.inflight_bytes",
+    ] {
+        assert_eq!(snap.gauges.get(name).copied(), Some(0), "{name}");
+    }
 }

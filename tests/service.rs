@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use osss_jpeg2000::jpeg2000::codec::{decode, encode, EncodeParams, Mode};
 use osss_jpeg2000::jpeg2000::image::Image;
-use osss_jpeg2000::{DecodeService, Request, ServiceConfig, ServiceError};
+use osss_jpeg2000::{DecodeService, MetricsRegistry, Request, ServiceConfig, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +57,7 @@ fn stress_no_request_is_silently_dropped() {
         })
         .collect();
 
+    let registry = MetricsRegistry::new();
     let svc = DecodeService::new(ServiceConfig {
         workers: 2,
         queue_capacity: 4,
@@ -64,7 +65,7 @@ fn stress_no_request_is_silently_dropped() {
         // eviction churn is part of the stress.
         header_cache_bytes: streams.iter().map(|(b, _)| b.len()).max().unwrap(),
         image_cache_bytes: 64 * 64 * 3 * 4,
-        metrics: None,
+        metrics: Some(registry.clone()),
     });
 
     let attempts = AtomicU64::new(0);
@@ -159,6 +160,19 @@ fn stress_no_request_is_silently_dropped() {
         stats.completed + stats.expired + stats.cancelled + stats.failed,
     );
     assert_eq!(stats.failed, 0, "well-formed streams never fail to decode");
+
+    // Every gauge moved under contention drains back to exactly zero,
+    // and the high-water marks saw real traffic.
+    let gauges = registry.snapshot().gauges;
+    for name in [
+        "service.inflight_bytes",
+        "service.queue.depth",
+        "service.singleflight_inflight",
+    ] {
+        assert_eq!(gauges.get(name).copied(), Some(0), "{name} after drain");
+    }
+    assert!(stats.max_queue_depth >= 1, "{stats:?}");
+    assert!(stats.max_inflight_bytes >= 1, "{stats:?}");
 }
 
 /// Single-flight stampede stress: every client hammers **one** hot

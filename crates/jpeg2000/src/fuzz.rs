@@ -371,14 +371,19 @@ pub fn seed_streams() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Runs every public decode entry point on `bytes`, discarding results:
-/// structured errors are expected, panics are bugs (callers wrap this
-/// in `catch_unwind` and a wall-clock watchdog). Also asserts the
-/// tolerant-decode geometry invariant: whenever the main header parses,
-/// [`decode_tolerant`] must return an image of exactly the SIZ
-/// dimensions.
+/// Runs every public decode entry point on `bytes`: structured errors
+/// are expected, panics are bugs (callers wrap this in `catch_unwind`
+/// and a wall-clock watchdog). Also asserts two invariants on every
+/// input, valid or not:
+///
+/// * the parallel drivers agree with the sequential ones —
+///   [`decode_parallel`] returns the image *or the error* of
+///   [`decode`], and [`decode_tolerant_parallel`] the image and report
+///   of [`decode_tolerant`];
+/// * whenever the main header parses, [`decode_tolerant`] returns an
+///   image of exactly the SIZ dimensions.
 pub fn exercise_decode_surface(bytes: &[u8]) {
-    let _ = decode(bytes);
+    let strict = decode(bytes).map(|d| d.image);
     for layers in [0usize, 1, 2, usize::MAX] {
         let _ = decode_quality(bytes, layers);
     }
@@ -386,10 +391,15 @@ pub fn exercise_decode_surface(bytes: &[u8]) {
         let _ = decode_thumbnail(bytes, max_res);
     }
     for workers in [1usize, 4] {
-        let _ = decode_parallel(bytes, workers);
+        assert_eq!(
+            decode_parallel(bytes, workers).map(|d| d.image),
+            strict,
+            "decode_parallel({workers}) must match decode"
+        );
     }
+    let tolerant = decode_tolerant(bytes);
     let header = parse_codestream_tolerant(bytes).map(|p| p.header);
-    match (decode_tolerant(bytes), header) {
+    match (&tolerant, header) {
         (Ok((image, _report)), Ok(h)) => {
             assert_eq!(
                 (image.width, image.height),
@@ -400,7 +410,11 @@ pub fn exercise_decode_surface(bytes: &[u8]) {
         (Ok(_), Err(_)) => panic!("decode_tolerant succeeded where the header parser failed"),
         (Err(_), _) => {}
     }
-    let _ = decode_tolerant_parallel(bytes, 4);
+    assert_eq!(
+        decode_tolerant_parallel(bytes, 4),
+        tolerant,
+        "decode_tolerant_parallel(4) must match decode_tolerant"
+    );
 }
 
 #[cfg(test)]

@@ -6,8 +6,13 @@
 //! Application-Layer exploration (model versions 2–5) exploits exactly
 //! this — 1, 2 or 4 decoder pipelines over independent tiles. This
 //! module is the native-execution mirror of that design space: a pool
-//! of worker threads draining a shared atomic tile queue, bit-exact
-//! against the sequential [`decode`](crate::codec::decode).
+//! of worker threads draining a shared atomic tile queue. It is the one
+//! parallel tile loop, and it runs the same per-tile function as the
+//! sequential loop in [`crate::codec`], then places the tiles in tile
+//! order — so strict and tolerant decodes are bit-exact against
+//! [`decode`](crate::codec::decode) and
+//! [`decode_tolerant`](crate::codec::decode_tolerant), errors and
+//! reports included.
 //!
 //! ```
 //! use jpeg2000::image::Image;
@@ -25,9 +30,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
-use crate::codec::{DecodeReport, DecodeTimings, DecodedImage, StagedDecoder, TileSamples};
+use crate::codec::{
+    DecodeReport, DecodeTimings, DecodedImage, RequestKind, StagedDecoder, TileSamples,
+};
 use crate::error::CodecResult;
 use crate::image::Image;
 use crate::scratch::{DecodeCounters, DecodeScratch};
@@ -114,21 +120,24 @@ impl ParallelDecoder {
     }
 }
 
-/// What one worker hands back: its decoded tiles (with per-stage
-/// timings) and the work counters its scratch arena tallied.
+/// What one worker hands back: each decoded tile with the failures
+/// its tolerant decode recorded, plus the work counters and stage
+/// timings its scratch arena tallied.
 type WorkerOutput = (
-    Vec<(usize, CodecResult<TileSamples>, DecodeTimings)>,
+    Vec<(usize, CodecResult<TileSamples>, DecodeReport)>,
     DecodeCounters,
+    DecodeTimings,
 );
 
 /// One worker's claim-decode loop: drains the shared tile queue, fully
 /// decoding each claimed tile to spatial samples. Each worker owns one
 /// [`DecodeScratch`] arena, reused across all tiles it claims — no
-/// cross-thread buffer sharing, no per-block allocation.
+/// cross-thread buffer sharing, no per-block allocation — and one
+/// report per tile, so no tile's damage can mask another's.
 fn run_worker(
     dec: &StagedDecoder,
+    kind: RequestKind,
     next: &AtomicUsize,
-    num_tiles: usize,
     worker: usize,
     probe: Option<TileProbe<'_>>,
 ) -> WorkerOutput {
@@ -136,36 +145,76 @@ fn run_worker(
     let mut scratch = DecodeScratch::new();
     loop {
         let t = next.fetch_add(1, Ordering::Relaxed);
-        if t >= num_tiles {
-            return (done, scratch.counters());
+        if t >= dec.num_tiles() {
+            return (done, scratch.counters(), scratch.timings);
         }
         if let Some(p) = probe {
             p(worker, t);
         }
-        let mut timings = DecodeTimings::default();
-        let t0 = Instant::now();
-        let result = dec.entropy_decode_tile_with(t, &mut scratch).map(|coeffs| {
-            let t1 = Instant::now();
-            let wavelet = dec.dequantize_tile(&coeffs);
-            let t2 = Instant::now();
-            let samples = dec.idwt_tile_with(wavelet, &mut scratch);
-            let t3 = Instant::now();
-            let samples = dec.inverse_mct_tile(samples);
-            let t4 = Instant::now();
-            let samples = dec.dc_unshift_tile(samples);
-            let t5 = Instant::now();
-            timings.entropy += t1 - t0;
-            timings.iq += t2 - t1;
-            timings.idwt += t3 - t2;
-            timings.mct += t4 - t3;
-            timings.dc_shift += t5 - t4;
-            samples
-        });
-        if result.is_err() {
-            timings.entropy += t0.elapsed();
-        }
-        done.push((t, result, timings));
+        let mut report = DecodeReport::default();
+        let result = dec.decode_tile(t, kind, &mut scratch, &mut report);
+        done.push((t, result, report));
     }
+}
+
+/// The parallel whole-image tile loop behind
+/// [`decode_parallel_observed`] and [`decode_tolerant_parallel`]:
+/// `workers` threads run the per-tile decode over a shared tile queue,
+/// then the tiles are placed *in tile order*, so the first
+/// (lowest-tile) error wins and the per-tile reports merge after the
+/// parse failures under the single global
+/// [`crate::codec::MAX_REPORTED_ERRORS`] cap — exactly as in the
+/// sequential loop.
+fn decode_kind_parallel(
+    bytes: &[u8],
+    kind: RequestKind,
+    workers: usize,
+    probe: Option<TileProbe<'_>>,
+) -> CodecResult<(DecodedImage, DecodeReport, ParallelStats)> {
+    let (dec, mut report) = StagedDecoder::open(bytes, kind)?;
+    let num_tiles = dec.num_tiles();
+    let workers = resolve_workers(workers).min(num_tiles.max(1));
+
+    let next = AtomicUsize::new(0);
+    let run = |wi| run_worker(&dec, kind, &next, wi, probe);
+    let per_worker: Vec<WorkerOutput> = if workers <= 1 {
+        vec![run(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = (0..workers)
+                .map(|wi| scope.spawn(move || run(wi)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(v) => v,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
+
+    let mut stats = ParallelStats {
+        workers,
+        per_worker_tiles: Vec::with_capacity(workers),
+        counters: DecodeCounters::default(),
+    };
+    let mut timings = DecodeTimings::default();
+    let mut per_tile = Vec::with_capacity(num_tiles);
+    for (done, counters, worker_timings) in per_worker {
+        stats.per_worker_tiles.push(done.len() as u64);
+        stats.counters.merge(&counters);
+        timings += worker_timings;
+        per_tile.extend(done);
+    }
+    per_tile.sort_by_key(|&(t, ..)| t);
+    let mut image = dec.output_image(kind);
+    for (_, result, tile_report) in per_tile {
+        report.merge(tile_report);
+        dec.place_tile(&mut image, &result?);
+    }
+    Ok((DecodedImage { image, timings }, report, stats))
 }
 
 /// Decodes a codestream with `workers` parallel tile pipelines.
@@ -203,79 +252,8 @@ pub fn decode_parallel_observed(
     workers: usize,
     probe: Option<TileProbe<'_>>,
 ) -> CodecResult<(DecodedImage, ParallelStats)> {
-    let dec = StagedDecoder::new(bytes)?;
-    let num_tiles = dec.num_tiles();
-    let workers = resolve_workers(workers).min(num_tiles.max(1));
-
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<WorkerOutput> = if workers <= 1 {
-        vec![run_worker(&dec, &next, num_tiles, 0, probe)]
-    } else {
-        std::thread::scope(|scope| {
-            let dec = &dec;
-            let next = &next;
-            let handles: Vec<_> = (0..workers)
-                .map(|wi| scope.spawn(move || run_worker(dec, next, num_tiles, wi, probe)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-
-    let mut stats = ParallelStats {
-        workers,
-        per_worker_tiles: Vec::with_capacity(workers),
-        counters: DecodeCounters::default(),
-    };
-    let mut per_tile: Vec<(usize, CodecResult<TileSamples>, DecodeTimings)> = Vec::new();
-    for (done, counters) in per_worker {
-        stats.per_worker_tiles.push(done.len() as u64);
-        stats.counters.merge(&counters);
-        per_tile.extend(done);
-    }
-
-    // Assemble deterministically in tile order; the first (lowest-tile)
-    // error wins, as in the sequential loop.
-    per_tile.sort_by_key(|&(t, _, _)| t);
-    let mut image = dec.blank_image();
-    let mut timings = DecodeTimings::default();
-    for (_, result, tile_timings) in per_tile {
-        let samples = result?;
-        dec.place_tile(&mut image, &samples);
-        timings.entropy += tile_timings.entropy;
-        timings.iq += tile_timings.iq;
-        timings.idwt += tile_timings.idwt;
-        timings.mct += tile_timings.mct;
-        timings.dc_shift += tile_timings.dc_shift;
-    }
-    Ok((DecodedImage { image, timings }, stats))
-}
-
-/// One worker's claim-decode loop for tolerant decoding: like
-/// [`run_worker`], but per-tile failures are collected into a local
-/// [`DecodeReport`] instead of aborting — no tile's damage can mask
-/// another worker's progress.
-fn run_worker_tolerant(
-    dec: &StagedDecoder,
-    next: &AtomicUsize,
-    num_tiles: usize,
-) -> Vec<(usize, TileSamples, DecodeReport)> {
-    let mut done = Vec::new();
-    let mut scratch = DecodeScratch::new();
-    loop {
-        let t = next.fetch_add(1, Ordering::Relaxed);
-        if t >= num_tiles {
-            return done;
-        }
-        let mut report = DecodeReport::default();
-        let samples = dec.decode_tile_tolerant_with(t, &mut scratch, &mut report);
-        done.push((t, samples, report));
-    }
+    decode_kind_parallel(bytes, RequestKind::Strict, workers, probe)
+        .map(|(decoded, _, stats)| (decoded, stats))
 }
 
 /// Tolerant decoding with `workers` parallel tile pipelines — the
@@ -294,35 +272,8 @@ pub fn decode_tolerant_parallel(
     bytes: &[u8],
     workers: usize,
 ) -> CodecResult<(Image, DecodeReport)> {
-    let (dec, mut report) = StagedDecoder::new_tolerant(bytes)?;
-    let num_tiles = dec.num_tiles();
-    let workers = resolve_workers(workers).min(num_tiles.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut per_tile: Vec<(usize, TileSamples, DecodeReport)> = if workers <= 1 {
-        run_worker_tolerant(&dec, &next, num_tiles)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| run_worker_tolerant(&dec, &next, num_tiles)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-
-    per_tile.sort_by_key(|&(t, _, _)| t);
-    let mut image = dec.blank_image();
-    for (_, samples, tile_report) in per_tile {
-        dec.place_tile(&mut image, &samples);
-        report.merge(tile_report);
-    }
-    Ok((image, report))
+    decode_kind_parallel(bytes, RequestKind::Tolerant, workers, None)
+        .map(|(decoded, report, _)| (decoded.image, report))
 }
 
 #[cfg(test)]

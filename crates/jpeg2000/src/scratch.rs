@@ -6,10 +6,12 @@
 //! magnitudes, signs) plus four more per inverse-DWT call. A
 //! [`DecodeScratch`] owns all of them; [`crate::codec::decode`] reuses
 //! one across every tile, and [`crate::parallel`] gives each worker its
-//! own so no synchronisation is needed. Since the irreversible path went
+//! own so no synchronisation is needed. The arena also carries the work
+//! counters and per-stage timings the per-tile decode tallies. Since the irreversible path went
 //! fixed point, the DWT part is two `i32` buffers (one interleaved row,
 //! one saved half-plane) — the arena carries no `f64` at all.
 
+use crate::codec::DecodeTimings;
 use crate::dwt::DwtScratch;
 use crate::t1::T1Scratch;
 
@@ -61,6 +63,9 @@ pub struct DecodeScratch {
     /// Tile-level tallies (the block-level ones live in `t1`).
     pub(crate) tiles: u64,
     pub(crate) samples_out: u64,
+    /// Wall-clock time per decoder stage, summed over every tile the
+    /// per-tile decode ran through this arena.
+    pub(crate) timings: DecodeTimings,
 }
 
 impl DecodeScratch {

@@ -29,9 +29,10 @@
 //!   departing leader hands the decode to the oldest live follower.
 //!
 //! Strict, tolerant, quality, and thumbnail decodes all route through
-//! the same pool and are bit-exact with the one-shot entry points
-//! ([`crate::codec::decode`] and friends) — property-tested in
-//! `tests/props.rs`.
+//! the same pool and run the same sequential tile loop as the one-shot
+//! entry points ([`crate::codec::decode`] and friends), so they are
+//! bit-exact with them by construction — and property-tested in
+//! `tests/props.rs` anyway.
 //!
 //! Every accepted submission resolves: the ticket yields a response,
 //! [`ServiceError::DeadlineExceeded`], [`ServiceError::Cancelled`], or
@@ -51,6 +52,8 @@
 //! let stats = service.shutdown();
 //! assert!(stats.reconciles());
 //! ```
+
+pub use crate::codec::RequestKind;
 
 use crate::codec::{DecodeReport, StagedDecoder};
 use crate::error::CodecError;
@@ -129,65 +132,6 @@ impl Default for ServiceConfig {
             header_cache_bytes: 8 << 20,
             image_cache_bytes: 32 << 20,
             metrics: None,
-        }
-    }
-}
-
-/// Which decode variant a request asks for. Doubles as part of the
-/// image-cache key, so every variant caches independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RequestKind {
-    /// Full strict decode ([`crate::codec::decode`]).
-    Strict,
-    /// Tolerant decode with a [`DecodeReport`]
-    /// ([`crate::codec::decode_tolerant`]).
-    Tolerant,
-    /// Quality-progressive decode keeping `max_layers` layers
-    /// ([`crate::codec::decode_quality`]).
-    Quality {
-        /// Layers to keep (`0` is clamped to 1, as in the one-shot).
-        max_layers: usize,
-    },
-    /// Resolution-progressive decode of the lowest `max_res + 1`
-    /// resolutions ([`crate::codec::decode_thumbnail`]).
-    Thumbnail {
-        /// Highest resolution level to decode.
-        max_res: usize,
-    },
-}
-
-impl RequestKind {
-    /// Header-independent normalization. `Quality { max_layers: 0 }`
-    /// decodes exactly like `Quality { max_layers: 1 }` (the one-shot
-    /// entry point clamps, see [`crate::codec::decode_quality`]), so
-    /// the two must share one image-cache entry and one single-flight
-    /// group — before this, equivalent requests occupied distinct LRU
-    /// entries and defeated both (regression:
-    /// `quality_zero_shares_the_quality_one_cache_entry`).
-    #[must_use]
-    pub fn normalized(self) -> Self {
-        match self {
-            RequestKind::Quality { max_layers: 0 } => RequestKind::Quality { max_layers: 1 },
-            other => other,
-        }
-    }
-
-    /// Header-aware normalization: clamps the parameter against the
-    /// stream's actual layer/level counts, under which the decode is
-    /// provably identical — `Quality { n ≥ layers }` keeps every layer
-    /// and `Thumbnail { r ≥ levels }` decodes the full image, exactly
-    /// like the clamped forms. Applied once the parsed header is
-    /// available (at submit time when the header cache already holds
-    /// it, and again inside the worker once it must be parsed anyway).
-    fn canonical(self, layers: usize, levels: usize) -> Self {
-        match self {
-            RequestKind::Quality { max_layers } => RequestKind::Quality {
-                max_layers: max_layers.clamp(1, layers.max(1)),
-            },
-            RequestKind::Thumbnail { max_res } => RequestKind::Thumbnail {
-                max_res: max_res.min(levels),
-            },
-            other => other,
         }
     }
 }
@@ -483,12 +427,12 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Header-cache value: the parsed decoder plus, for tolerant parses,
-/// the parse-stage report to seed each decode's report with.
+/// Header-cache value: the parsed decoder plus the parse-stage report
+/// to seed each decode's report with (empty for strict parses).
 #[derive(Clone)]
 struct CachedHeader {
     dec: Arc<StagedDecoder>,
-    base_report: Option<DecodeReport>,
+    base_report: DecodeReport,
 }
 
 /// Image-cache value.
@@ -925,10 +869,7 @@ impl DecodeService {
         }
         let cache = lock_unpoisoned(&self.shared.header_cache);
         match cache.peek(&(key, false)) {
-            Some(h) => {
-                let hdr = h.dec.header();
-                kind.canonical(hdr.layers as usize, hdr.levels as usize)
-            }
+            Some(h) => kind.canonical(&h.dec),
             None => kind,
         }
     }
@@ -1182,6 +1123,12 @@ enum Abort {
     Abandoned,
 }
 
+impl From<CodecError> for Abort {
+    fn from(e: CodecError) -> Self {
+        Abort::Error(ServiceError::Decode(e))
+    }
+}
+
 fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Served, Abort> {
     let check = |_tile: usize| -> Result<(), Abort> {
         if sweep(shared, job.flight_key()) == Sweep::Abandon {
@@ -1218,24 +1165,16 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
         }
         None => {
             m.header_misses.inc();
-            let parsed = if tolerant {
-                StagedDecoder::new_tolerant(&job.stream).map(|(dec, report)| CachedHeader {
+            let header = match StagedDecoder::open(&job.stream, job.kind) {
+                Ok((dec, base_report)) => CachedHeader {
                     dec: Arc::new(dec),
-                    base_report: Some(report),
-                })
-            } else {
-                StagedDecoder::new(&job.stream).map(|dec| CachedHeader {
-                    dec: Arc::new(dec),
-                    base_report: None,
-                })
-            };
-            let header = match parsed {
-                Ok(h) => h,
+                    base_report,
+                },
                 Err(e) => {
                     // The parse failure is this flight's one image-
                     // cache miss: it reached the decode path cold.
                     m.image_misses.inc();
-                    return Err(Abort::Error(ServiceError::Decode(e)));
+                    return Err(e.into());
                 }
             };
             let evicted = lock_unpoisoned(&shared.header_cache).insert(
@@ -1252,8 +1191,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     // form (submit-time normalization could not clamp against layer/
     // level counts it had not seen). A canonical twin already cached
     // counts as the flight's one image-cache hit.
-    let hdr = header.dec.header();
-    let kind = job.kind.canonical(hdr.layers as usize, hdr.levels as usize);
+    let kind = job.kind.canonical(&header.dec);
     let image_key = (job.key, kind);
     if kind != job.kind {
         if let Some(hit) = lock_unpoisoned(&shared.image_cache).get(&image_key) {
@@ -1263,8 +1201,13 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     }
     m.image_misses.inc();
 
-    let (image, report) = run_decode(&header, kind, scratch, &check)?;
-    let image = Arc::new(image);
+    // The decode proper: the same sequential tile loop the one-shot
+    // entry points run, so service results are bit-exact with them by
+    // construction. `check` runs before every tile — the deadline and
+    // cancellation granularity.
+    let mut report = header.base_report.clone();
+    let image = Arc::new(header.dec.decode_tiles(kind, scratch, &mut report, check)?);
+    let report = tolerant.then_some(report);
     let evicted = lock_unpoisoned(&shared.image_cache).insert(
         image_key,
         CachedImage {
@@ -1275,69 +1218,6 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     );
     m.image_evictions.add(evicted);
     Ok((image, report, served_from))
-}
-
-/// The decode proper — per-tile staged calls identical to the one-shot
-/// entry points ([`crate::codec::decode`] and friends), so service
-/// results are bit-exact by construction. `check` runs before every
-/// tile: that is the deadline/cancellation granularity.
-fn run_decode(
-    header: &CachedHeader,
-    kind: RequestKind,
-    scratch: &mut DecodeScratch,
-    check: &impl Fn(usize) -> Result<(), Abort>,
-) -> Result<(Image, Option<DecodeReport>), Abort> {
-    let decode_err = |e| Abort::Error(ServiceError::Decode(e));
-    let dec = &header.dec;
-    match kind {
-        RequestKind::Strict => {
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec.decode_tile_with(t, scratch).map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-        RequestKind::Tolerant => {
-            let mut report = header.base_report.clone().unwrap_or_default();
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec.decode_tile_tolerant_with(t, scratch, &mut report);
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, Some(report)))
-        }
-        RequestKind::Quality { max_layers } => {
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec
-                    .decode_tile_quality_with(t, max_layers, scratch)
-                    .map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-        RequestKind::Thumbnail { max_res } => {
-            let (out_w, out_h) = dec.thumbnail_size(max_res);
-            let mut image = Image::new(
-                out_w,
-                out_h,
-                dec.header().depth,
-                dec.header().num_components as usize,
-            );
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec
-                    .decode_tile_thumbnail_with(t, max_res, scratch)
-                    .map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2126,9 +2006,26 @@ mod tests {
         let th_warm = svc.decode(&bytes[..], Request::thumbnail(99)).unwrap();
         assert_eq!(th_warm.served_from, ServedFrom::ImageCache);
         assert_eq!(th_warm.image, th_cold.image);
+        // The thumbnail clamp is tile 0's *effective* level count, not
+        // the coded one: 32×32 tiles coded with 8 levels apply only 5,
+        // so `Thumbnail{5}` and `Thumbnail{7}` are the same full image
+        // and must share one entry.
+        let img = Image::synthetic_rgb(64, 64, 57);
+        let deep = encode(
+            &img,
+            &EncodeParams::new(Mode::Lossless)
+                .tile_size(32, 32)
+                .levels(8),
+        )
+        .unwrap();
+        let five = svc.decode(&deep[..], Request::thumbnail(5)).unwrap();
+        let seven = svc.decode(&deep[..], Request::thumbnail(7)).unwrap();
+        assert_eq!(seven.served_from, ServedFrom::ImageCache);
+        assert_eq!(*seven.image, decode_thumbnail(&deep, 7).unwrap());
+        assert_eq!(seven.image, five.image);
         let stats = svc.shutdown();
-        assert_eq!(stats.image_hits, 2);
-        assert_eq!(stats.image_misses, 2);
+        assert_eq!(stats.image_hits, 3);
+        assert_eq!(stats.image_misses, 3);
         assert!(stats.reconciles());
     }
 

@@ -34,6 +34,16 @@
 //! error taxonomy ([`NetError`]): retryable-busy (backpressure),
 //! expired (deadline), protocol error, decode failure, refused
 //! (shutdown), internal.
+//!
+//! ## Deadlines
+//!
+//! Every socket operation on either side goes through one adapter,
+//! `DeadlineIo`: an absolute deadline per operation (the client's
+//! [`Client::op_deadline`], the server's frame deadline and idle
+//! timeout), an optional poll cap and an abort flag (the server's
+//! shutdown flag). A client whose request times out or fails on the
+//! wire drops that socket and dials afresh, so a late reply never
+//! answers a later request.
 
 use crate::codec::{DecodeReport, DecodeStage};
 use crate::image::{Image, Plane};
@@ -41,6 +51,7 @@ use crate::service::{Request, RequestKind, ServedFrom, ServiceError};
 use osss_sim::checksum::crc32;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Frame magic: `"J2KD"`.
@@ -874,101 +885,111 @@ impl CircuitBreaker {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-aware stream
+// Deadline-bounded socket
 // ---------------------------------------------------------------------------
 
-/// Wraps a [`TcpStream`] so every read/write races one absolute
-/// deadline: before each syscall the remaining budget is recomputed
-/// and installed as the socket timeout, so a peer trickling one byte
-/// per timeout window cannot extend the operation past the deadline
-/// (each partial read shrinks the next window instead of resetting
-/// it).
-struct DeadlineStream<'a> {
+/// The one wire path's socket adapter, used by [`Client::request`] and
+/// the server's frame read. Before each read, peek or write on the
+/// borrowed socket it fails with `ConnectionAborted` once `abort` is
+/// set and with `TimedOut` once [`Self::deadline`] has passed;
+/// otherwise it installs the smaller of the time left and the poll cap
+/// as the socket timeout — only when that window changed, so with
+/// neither set no timeout syscall is made — and absorbs the syscall's
+/// own `WouldBlock`/`TimedOut`/`Interrupted` wake-ups. `TimedOut` thus
+/// always means the deadline, and a peer trickling a byte per window
+/// cannot stretch an operation: partial progress shrinks the window.
+pub(crate) struct DeadlineIo<'a> {
     stream: &'a TcpStream,
-    deadline: Instant,
+    /// When the current operation expires; `None` waits indefinitely.
+    pub(crate) deadline: Option<Instant>,
+    poll: Option<Duration>,
+    abort: &'a AtomicBool,
+    read_window: Option<Duration>,
+    write_window: Option<Duration>,
 }
 
-impl DeadlineStream<'_> {
-    fn remaining(&self) -> io::Result<Duration> {
-        let now = Instant::now();
-        if now >= self.deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "client operation deadline elapsed",
-            ));
+impl<'a> DeadlineIo<'a> {
+    /// Wraps a socket with no timeout installed yet in any direction
+    /// the adapter will be used for.
+    pub(crate) fn new(
+        stream: &'a TcpStream,
+        poll: Option<Duration>,
+        abort: &'a AtomicBool,
+    ) -> Self {
+        DeadlineIo {
+            stream,
+            deadline: None,
+            poll,
+            abort,
+            read_window: None,
+            write_window: None,
         }
-        Ok(self.deadline - now)
+    }
+
+    /// [`TcpStream::peek`] under the same deadline and abort flag.
+    pub(crate) fn peek(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.run(false, |s| s.peek(buf))
+    }
+
+    fn run<T>(
+        &mut self,
+        write: bool,
+        mut op: impl FnMut(&TcpStream) -> io::Result<T>,
+    ) -> io::Result<T> {
+        use io::ErrorKind::{ConnectionAborted, Interrupted, TimedOut, WouldBlock};
+        loop {
+            if self.abort.load(Ordering::SeqCst) {
+                return Err(io::Error::new(ConnectionAborted, "operation aborted"));
+            }
+            let left = self
+                .deadline
+                .map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(io::Error::new(TimedOut, "operation deadline elapsed"));
+            }
+            let window = [left, self.poll].into_iter().flatten().min();
+            if write && self.write_window != window {
+                self.stream.set_write_timeout(window)?;
+                self.write_window = window;
+            } else if !write && self.read_window != window {
+                self.stream.set_read_timeout(window)?;
+                self.read_window = window;
+            }
+            match op(self.stream) {
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+                other => return other,
+            }
+        }
     }
 }
 
-impl Read for DeadlineStream<'_> {
+impl Read for DeadlineIo<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            self.stream.set_read_timeout(Some(self.remaining()?))?;
-            match (&mut (&*self.stream)).read(buf) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // A timeout below the full remaining window (platforms
-                // may wake early) is re-checked against the deadline.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
+        self.run(false, |mut s| s.read(buf))
     }
 }
 
-impl Write for DeadlineStream<'_> {
+impl Write for DeadlineIo<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        loop {
-            self.stream.set_write_timeout(Some(self.remaining()?))?;
-            match (&mut (&*self.stream)).write(buf) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
+        self.run(true, |mut s| s.write(buf))
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        (&mut (&*self.stream)).flush()
+        (&mut &*self.stream).flush()
     }
 }
 
-/// Maps a deadline expiry (surfaced as a `TimedOut`/`WouldBlock` IO
-/// error) to [`NetError::Timeout`]; everything else stays a wire
-/// error.
-fn map_deadline(e: WireError) -> NetError {
-    match e {
-        WireError::Io(ref io_err)
-            if matches!(
-                io_err.kind(),
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ) =>
-        {
-            NetError::Timeout
-        }
-        other => NetError::Wire(other),
-    }
-}
+/// The client's abort flag: a client operation ends only by its
+/// deadline or the transport, never by request.
+static NEVER_ABORT: AtomicBool = AtomicBool::new(false);
 
 /// A blocking client for a [`crate::server::DecodeServer`]: one
 /// connection, requests answered in order.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// `None` after a timeout or wire error: that socket may still hold
+    /// a late reply, so it is dropped and the next request dials afresh.
+    stream: Option<TcpStream>,
     addr: SocketAddr,
     max_frame_bytes: usize,
     op_deadline: Option<Duration>,
@@ -981,28 +1002,14 @@ impl Client {
     ///
     /// Any connect-time [`io::Error`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        Self::configure_socket(&stream)?;
+        let stream = dial(addr)?;
         let addr = stream.peer_addr()?;
         Ok(Client {
-            stream,
+            stream: Some(stream),
             addr,
             max_frame_bytes: MAX_FRAME_BYTES,
             op_deadline: None,
         })
-    }
-
-    /// Per-socket configuration, shared by [`Self::connect`] and
-    /// [`Self::reconnect`] so a replacement socket can never silently
-    /// lose an option the original had. Everything else that shapes an
-    /// operation — `op_deadline`, `max_frame_bytes` — lives on the
-    /// `Client` itself and is applied per request (the deadline
-    /// installs its remaining-budget read/write timeouts on every
-    /// syscall, see [`DeadlineStream`]), so it survives any number of
-    /// reconnects by construction (regression:
-    /// `reconnected_client_keeps_its_op_deadline`).
-    fn configure_socket(stream: &TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)
     }
 
     /// Lowers (or raises) the response-frame size this client accepts.
@@ -1019,7 +1026,10 @@ impl Client {
     /// after the header hangs the client forever: per-read socket
     /// timeouts alone reset on every byte, so a trickling peer evades
     /// them. The deadline is absolute per operation — partial progress
-    /// shrinks the remaining window instead of resetting it.
+    /// shrinks the remaining window instead of resetting it. It lives
+    /// on the `Client`, not the socket, so it holds on every socket the
+    /// client dials (regression:
+    /// `reconnected_client_keeps_its_op_deadline`).
     #[must_use]
     pub fn op_deadline(mut self, deadline: Duration) -> Self {
         self.op_deadline = Some(deadline);
@@ -1028,36 +1038,40 @@ impl Client {
 
     /// Sends one decode request and blocks for the response.
     ///
+    /// After a [`NetError::Timeout`] or [`NetError::Wire`] the socket is
+    /// dropped — a late reply on it must never answer a later request —
+    /// and the next call dials a fresh connection first.
+    ///
     /// # Errors
     ///
     /// The full [`NetError`] taxonomy; [`NetError::Busy`] is the
-    /// retryable one, and [`NetError::Timeout`] reports an elapsed
-    /// [`Self::op_deadline`].
+    /// retryable one, [`NetError::Timeout`] reports an elapsed
+    /// [`Self::op_deadline`], and a failed re-dial surfaces as
+    /// [`NetError::Wire`].
     pub fn request(&mut self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
-        match self.op_deadline {
-            None => {
-                write_frame(&mut self.stream, &encode_request(request, stream))?;
-                let payload = read_frame(&mut self.stream, self.max_frame_bytes)?
-                    .ok_or(WireError::Truncated)?;
-                decode_response(&payload)
-            }
-            Some(limit) => {
-                let mut io = DeadlineStream {
-                    stream: &self.stream,
-                    deadline: Instant::now() + limit,
-                };
-                write_frame(&mut io, &encode_request(request, stream))
-                    .map_err(|e| map_deadline(WireError::from(e)))?;
-                let payload = read_frame(&mut io, self.max_frame_bytes)
-                    .map_err(map_deadline)?
-                    .ok_or(WireError::Truncated)?;
-                decode_response(&payload)
-            }
+        let socket = match self.stream.take() {
+            Some(socket) => socket,
+            None => dial(self.addr)?,
+        };
+        let mut io = DeadlineIo::new(&socket, None, &NEVER_ABORT);
+        io.deadline = self.op_deadline.map(|limit| Instant::now() + limit);
+        let result = write_frame(&mut io, &encode_request(request, stream))
+            .map_err(WireError::from)
+            .and_then(|()| read_frame(&mut io, self.max_frame_bytes)?.ok_or(WireError::Truncated))
+            .map_err(|e| match e {
+                WireError::Io(e) if e.kind() == io::ErrorKind::TimedOut => NetError::Timeout,
+                other => NetError::Wire(other),
+            })
+            .and_then(|payload| decode_response(&payload));
+        if !matches!(result, Err(NetError::Timeout | NetError::Wire(_))) {
+            self.stream = Some(socket);
         }
+        result
     }
 
-    /// [`Self::request`], absorbing [`NetError::Busy`] responses under
-    /// `policy`'s deterministic backoff.
+    /// [`Self::decode_retry_guarded`] behind a fresh breaker that
+    /// cannot trip within one call: [`NetError::Busy`] responses are
+    /// absorbed under `policy`'s deterministic backoff.
     ///
     /// A busy answer from the *acceptor* (handler pool saturated)
     /// closes the connection after the frame, so each retry runs on a
@@ -1073,36 +1087,24 @@ impl Client {
         stream: &[u8],
         policy: &NetRetryPolicy,
     ) -> Result<NetResponse, NetError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.request(request, stream) {
-                Err(NetError::Busy) => {
-                    if attempt >= policy.max_retries {
-                        return Err(NetError::RetriesExhausted {
-                            attempts: attempt + 1,
-                        });
-                    }
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                    self.reconnect()?;
-                }
-                other => return other,
-            }
-        }
+        self.decode_retry_guarded(
+            request,
+            stream,
+            policy,
+            &mut CircuitBreaker::new(u32::MAX, Duration::ZERO),
+        )
     }
 
-    /// [`Self::decode_retry`] behind a [`CircuitBreaker`]: when the
-    /// breaker is open the call fails fast with
-    /// [`NetError::CircuitOpen`] without touching the network, so a
-    /// blackholed server costs one deadline per cooldown instead of
-    /// one per request.
+    /// [`Self::request`] under `policy`'s retry-on-busy backoff, behind
+    /// a [`CircuitBreaker`]: when the breaker is open the call fails
+    /// fast with [`NetError::CircuitOpen`] without touching the
+    /// network, so a blackholed server costs one deadline per cooldown
+    /// instead of one per request.
     ///
     /// Breaker accounting: timeouts and wire errors are failures;
     /// *any* server-answered outcome — success, `Busy`, or a
     /// structured server error — proves the path works and resets the
-    /// breaker. After a transport failure the connection is re-dialled
-    /// best-effort so a late straggler reply cannot desynchronise the
-    /// next request.
+    /// breaker.
     ///
     /// # Errors
     ///
@@ -1121,10 +1123,6 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match self.request(request, stream) {
-                Ok(resp) => {
-                    breaker.on_success();
-                    return Ok(resp);
-                }
                 Err(NetError::Busy) => {
                     // The server answered: the transport works.
                     breaker.on_success();
@@ -1139,25 +1137,29 @@ impl Client {
                 }
                 Err(e @ (NetError::Timeout | NetError::Wire(_))) => {
                     breaker.on_failure();
-                    // The stream may hold a straggler reply; drop it.
-                    let _ = self.reconnect();
                     return Err(e);
                 }
-                Err(other) => {
-                    // Structured server errors still prove liveness.
+                // An image or a structured server error proves liveness.
+                other => {
                     breaker.on_success();
-                    return Err(other);
+                    return other;
                 }
             }
         }
     }
 
     fn reconnect(&mut self) -> io::Result<()> {
-        let fresh = TcpStream::connect(self.addr)?;
-        Self::configure_socket(&fresh)?;
-        self.stream = fresh;
+        self.stream = Some(dial(self.addr)?);
         Ok(())
     }
+}
+
+/// Opens a client socket; the one place per-socket options are set,
+/// so a re-dialled socket can never lose one the original had.
+fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -1661,6 +1663,46 @@ mod tests {
         );
         stop_tx.send(()).unwrap();
         stall.join().unwrap();
+    }
+
+    /// Regression: a reply that arrives after the client's deadline
+    /// must never answer the client's next request. The fake server
+    /// reads request 1, answers it (image A) only after the client has
+    /// timed out, then answers request 2 with image B — on the same
+    /// connection if the client reused it, else on a fresh one.
+    #[test]
+    fn late_reply_never_answers_the_next_request() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (image_a, image_b) = (Image::synthetic_rgb(4, 4, 1), Image::synthetic_rgb(4, 4, 2));
+        let (late, fresh) = (image_a.clone(), image_b.clone());
+        let server = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().unwrap();
+            read_frame(&mut first, MAX_FRAME_BYTES).unwrap().unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let _ = write_frame(&mut first, &encode_ok(&late, None, ServedFrom::Cold));
+            let mut second = match read_frame(&mut first, MAX_FRAME_BYTES) {
+                Ok(Some(_)) => first,
+                _ => {
+                    let (mut s, _) = listener.accept().unwrap();
+                    read_frame(&mut s, MAX_FRAME_BYTES).unwrap().unwrap();
+                    s
+                }
+            };
+            write_frame(&mut second, &encode_ok(&fresh, None, ServedFrom::Cold)).unwrap();
+        });
+        let mut client = Client::connect(addr)
+            .unwrap()
+            .op_deadline(Duration::from_millis(100));
+        let err = client
+            .request(&Request::strict(), b"one")
+            .expect_err("request 1 outlives its deadline");
+        assert!(matches!(err, NetError::Timeout), "{err:?}");
+        std::thread::sleep(Duration::from_millis(400));
+        let resp = client.request(&Request::strict(), b"two").unwrap();
+        assert_eq!(resp.image, image_b, "request 2 got request 1's late reply");
+        server.join().unwrap();
     }
 
     /// A breaker-guarded client against a blackhole: the first

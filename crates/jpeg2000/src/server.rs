@@ -28,6 +28,13 @@
 //! answers busy and closes, so a flood degrades into explicit retry
 //! traffic instead of hung connections.
 //!
+//! A handler reads through the same deadline-bounded socket adapter as
+//! the client (`net::DeadlineIo`), capped at the poll interval so the
+//! shutdown flag is seen idle or mid-frame: between frames the
+//! deadline is [`ServerConfig::idle_timeout`] (expiry reaps the
+//! connection), within a frame [`ServerConfig::frame_deadline`]
+//! (expiry evicts a slow-loris peer). Neither can be switched off.
+//!
 //! The server's accounting lives in [`MetricsRegistry`] handles under
 //! `server.*` — counters, the connection and in-flight gauges and the
 //! request-latency histogram — and nowhere else: [`ServerStats`] is a
@@ -39,7 +46,7 @@
 
 use crate::net::{
     decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
-    read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
+    read_frame, write_frame, DeadlineIo, WireError, WireReport, MAX_FRAME_BYTES,
 };
 use crate::service::{DecodeService, ServiceError};
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -64,20 +71,18 @@ pub struct ServerConfig {
     pub submit_timeout: Duration,
     /// Largest request frame a handler accepts.
     pub max_frame_bytes: usize,
-    /// Idle-poll granularity: how often a handler blocked on a quiet
-    /// connection rechecks the shutdown flag.
+    /// Poll granularity: how often a handler blocked on a connection —
+    /// idle or mid-frame — rechecks the shutdown flag.
     pub poll_interval: Duration,
     /// Whole-frame read deadline. Per-read timeouts alone do not stop
     /// a slow-loris peer — one byte per [`Self::poll_interval`] resets
     /// them forever — so once a frame has begun, the handler bounds
     /// the *entire* frame by this budget and evicts the connection
-    /// when it elapses ([`ServerStats::frame_timeouts`]). `None`
-    /// restores the per-read-only behaviour.
-    pub frame_deadline: Option<Duration>,
+    /// when it elapses ([`ServerStats::frame_timeouts`]).
+    pub frame_deadline: Duration,
     /// Closes a connection that stays idle *between* frames this long
-    /// ([`ServerStats::idle_reaped`]); `None` lets idle connections
-    /// hold their handler indefinitely.
-    pub idle_timeout: Option<Duration>,
+    /// ([`ServerStats::idle_reaped`]).
+    pub idle_timeout: Duration,
     /// Upper bound on connections open server-side (queued for or
     /// inside a handler); the acceptor answers excess connections with
     /// a busy frame ([`ServerStats::conn_capped`]).
@@ -112,8 +117,8 @@ impl Default for ServerConfig {
             submit_timeout: Duration::from_millis(250),
             max_frame_bytes: MAX_FRAME_BYTES,
             poll_interval: Duration::from_millis(50),
-            frame_deadline: Some(Duration::from_secs(10)),
-            idle_timeout: Some(Duration::from_secs(60)),
+            frame_deadline: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(60),
             max_connections: 256,
             max_inflight_bytes: 256 << 20,
             write_timeout: Duration::from_secs(1),
@@ -364,35 +369,33 @@ impl DecodeServer {
     /// the next poll tick. The shared [`DecodeService`] is left
     /// running — it belongs to the caller.
     pub fn shutdown(mut self) -> ServerStats {
+        self.stop();
+        self.stats()
+    }
+
+    /// The shutdown sequence behind [`Self::shutdown`] and `Drop`;
+    /// a no-op once the acceptor has been joined.
+    fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in accept(); a throwaway local connection
         // wakes it to observe the flag.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        let _ = acceptor.join();
         // The acceptor drops the channel sender on exit; handlers
         // drain queued connections, then their recv fails and they
         // stop.
         for h in self.handlers.drain(..) {
             let _ = h.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for DecodeServer {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.local_addr);
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
-            }
-            for h in self.handlers.drain(..) {
-                let _ = h.join();
-            }
-        }
+        self.stop();
     }
 }
 
@@ -510,128 +513,52 @@ fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
     }
 }
 
-/// Reads one frame under an absolute deadline while staying
-/// responsive to shutdown: before each read the remaining budget
-/// (capped at the poll interval) becomes the socket timeout, so a
-/// peer trickling one byte per window cannot extend the frame past
-/// the deadline — each partial read shrinks what is left instead of
-/// resetting it. Deadline expiry surfaces as `ErrorKind::TimedOut`
-/// (socket-level `WouldBlock`/`TimedOut` wake-ups are absorbed), so
-/// the caller can attribute it unambiguously.
-struct FrameReader<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
-    poll: Duration,
-    shutdown: &'a AtomicBool,
-}
-
-impl Read for FrameReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Err(io::Error::new(
-                    ErrorKind::ConnectionAborted,
-                    "server shutting down",
-                ));
-            }
-            let now = Instant::now();
-            if now >= self.deadline {
-                return Err(io::Error::new(
-                    ErrorKind::TimedOut,
-                    "whole-frame read deadline exceeded",
-                ));
-            }
-            let window = (self.deadline - now).min(self.poll);
-            self.stream.set_read_timeout(Some(window))?;
-            match (&mut (&*self.stream)).read(buf) {
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                other => return other,
-            }
-        }
-    }
-}
-
 /// Serves one connection until EOF, an unrecoverable frame error,
-/// idle expiry, or shutdown.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+/// idle expiry, or shutdown. Every read goes through one
+/// [`DeadlineIo`] capped at the poll interval, so the shutdown flag is
+/// rechecked at least once per [`ServerConfig::poll_interval`] both
+/// between frames and mid-frame.
+fn serve_connection(shared: &Shared, stream: TcpStream) {
+    let config = &shared.config;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    let mut last_activity = Instant::now();
+    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let mut io = DeadlineIo::new(&stream, Some(config.poll_interval), &shared.shutdown);
     loop {
-        // Idle poll: wait for the first byte of a frame with a short
-        // timeout so the shutdown flag is observed on quiet
-        // connections. peek() leaves the byte for read_frame.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
+        // Wait for the first byte of the next frame; peek() leaves it
+        // for read_frame, so a started frame is never torn.
+        io.deadline = Some(Instant::now() + config.idle_timeout);
+        match io.peek(&mut [0u8; 1]) {
             Ok(0) => return, // clean EOF between frames
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = respond_and_close(
-                        stream,
-                        &encode_service_error(&ServiceError::ShuttingDown),
-                        shared.config.write_timeout,
-                    );
-                    return;
-                }
-                if let Some(idle) = shared.config.idle_timeout {
-                    if last_activity.elapsed() >= idle {
-                        // Reap: free the handler for live traffic. The
-                        // peer sees clean EOF between frames.
-                        shared.meters.idle_reaped.inc();
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return;
-                    }
-                }
-                continue;
+            Err(e) if e.kind() == ErrorKind::TimedOut => {
+                // Reap: free the handler for live traffic. The peer
+                // sees clean EOF between frames.
+                shared.meters.idle_reaped.inc();
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return;
+            }
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => {
+                let _ = respond_and_close(
+                    stream,
+                    &encode_service_error(&ServiceError::ShuttingDown),
+                    config.write_timeout,
+                );
+                return;
             }
             Err(_) => return,
         }
-        // A frame has begun. With a frame deadline the whole frame
-        // races one budget (slow-loris eviction); without one, only
-        // the per-read poll timeout bounds a mid-frame stall — and a
-        // peer trickling a byte per window evades it indefinitely.
-        let read_result = match shared.config.frame_deadline {
-            None => read_frame(&mut stream, shared.config.max_frame_bytes),
-            Some(limit) => {
-                let mut reader = FrameReader {
-                    stream: &stream,
-                    deadline: Instant::now() + limit,
-                    poll: shared.config.poll_interval,
-                    shutdown: &shared.shutdown,
-                };
-                let res = read_frame(&mut reader, shared.config.max_frame_bytes);
-                // Restore the idle-poll timeout for the next peek.
-                if stream
-                    .set_read_timeout(Some(shared.config.poll_interval))
-                    .is_err()
-                {
-                    return;
-                }
-                res
-            }
-        };
-        match read_result {
+        // A frame has begun: the whole frame races one budget, so a
+        // slow-loris peer is evicted.
+        io.deadline = Some(Instant::now() + config.frame_deadline);
+        match read_frame(&mut io, config.max_frame_bytes) {
             Ok(None) => return,
             Ok(Some(payload)) => {
                 shared.meters.frames_in.inc();
-                if !handle_frame(shared, &mut stream, &payload) {
+                if !handle_frame(shared, &stream, &payload) {
                     return;
                 }
-                last_activity = Instant::now();
             }
-            Err(WireError::Io(e))
-                if shared.config.frame_deadline.is_some() && e.kind() == ErrorKind::TimedOut =>
-            {
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::TimedOut => {
                 // The whole-frame deadline elapsed: evict the peer.
                 // (Framing is lost mid-frame, so the connection closes;
                 // the error frame is best-effort.)
@@ -639,7 +566,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error("whole-frame read deadline exceeded"),
-                    shared.config.write_timeout,
+                    config.write_timeout,
                 );
                 return;
             }
@@ -651,7 +578,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error("frame crc mismatch"),
-                    shared.config.write_timeout,
+                    config.write_timeout,
                 );
                 return;
             }
@@ -662,13 +589,13 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error(&e.to_string()),
-                    shared.config.write_timeout,
+                    config.write_timeout,
                 );
                 return;
             }
             Err(_) => {
-                // Truncated mid-frame or transport failure: the peer
-                // is gone or stalled; nothing to answer.
+                // Truncated mid-frame, transport failure or shutdown
+                // mid-frame: nothing to answer.
                 shared.meters.frame_rejects.inc();
                 return;
             }
@@ -678,7 +605,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 
 /// Handles one CRC-valid frame; returns `false` when the connection
 /// should close.
-fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool {
+fn handle_frame(shared: &Shared, mut stream: &TcpStream, payload: &[u8]) -> bool {
     let started = Instant::now();
     let m = &shared.meters;
     let response = match decode_request(payload) {
@@ -726,7 +653,7 @@ fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool
         }
     };
     m.latency.observe(SimTime::from_duration(started.elapsed()));
-    match write_frame(stream, &response) {
+    match write_frame(&mut stream, &response) {
         Ok(()) => {
             m.frames_out.inc();
             true
@@ -1055,53 +982,17 @@ mod tests {
         })
     }
 
-    /// Regression (PR 9): without a whole-frame deadline, a client
-    /// trickling one byte per poll interval pins a handler forever;
-    /// with one, the handler evicts it and frees itself.
+    /// Regression: a client trickling one byte per poll interval never
+    /// misses a per-read window, yet the whole-frame deadline evicts it
+    /// and frees the handler.
     #[test]
-    fn slow_loris_pins_without_frame_deadline_and_is_evicted_with_one() {
-        // Pre-fix behaviour: frame_deadline = None. The loris out-runs
-        // the 20ms per-read timeout, so the handler stays pinned.
+    fn slow_loris_is_evicted_by_the_frame_deadline() {
         let server = start(
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 1,
                 poll_interval: Duration::from_millis(20),
-                frame_deadline: None,
-                idle_timeout: None,
-                ..ServerConfig::default()
-            },
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let loris = slow_loris(
-            server.local_addr(),
-            Duration::from_millis(5),
-            Arc::clone(&stop),
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Give the per-read timeout many chances to (wrongly) fire.
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(
-            server.active_connections(),
-            1,
-            "pre-fix: the loris still pins the only handler"
-        );
-        stop.store(true, Ordering::SeqCst);
-        loris.join().unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.frame_timeouts, 0, "{stats:?}");
-
-        // Post-fix: a 150ms whole-frame deadline evicts the same peer
-        // even though it never misses a per-read window.
-        let server = start(
-            small_service(1, 4),
-            ServerConfig {
-                handler_threads: 1,
-                poll_interval: Duration::from_millis(20),
-                frame_deadline: Some(Duration::from_millis(150)),
+                frame_deadline: Duration::from_millis(150),
                 ..ServerConfig::default()
             },
         );
@@ -1118,7 +1009,7 @@ mod tests {
         assert_eq!(
             server.stats().frame_timeouts,
             1,
-            "post-fix: the frame deadline evicted the loris"
+            "the frame deadline evicted the loris"
         );
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.active_connections() > 0 && Instant::now() < deadline {
@@ -1138,6 +1029,47 @@ mod tests {
         assert!(stats.reconciles(), "{stats:?}");
     }
 
+    /// A peer that sends a frame header and one payload byte, then goes
+    /// silent, must not hold shutdown hostage for the frame deadline:
+    /// the handler notices the flag within a poll interval and drops
+    /// the half-read frame as a frame reject, not a frame timeout.
+    #[test]
+    fn shutdown_interrupts_a_peer_stalled_mid_frame() {
+        use std::io::Write as _;
+        let server = start(
+            small_service(1, 4),
+            ServerConfig {
+                handler_threads: 1,
+                poll_interval: Duration::from_millis(20),
+                frame_deadline: Duration::from_secs(10),
+                ..ServerConfig::default()
+            },
+        );
+        let mut peer = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let mut head = [0u8; 8];
+        head[..4].copy_from_slice(&crate::net::FRAME_MAGIC.to_le_bytes());
+        head[4..].copy_from_slice(&1024u32.to_le_bytes());
+        peer.write_all(&head).unwrap();
+        peer.write_all(&[0u8]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.active_connections() < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.active_connections(), 1, "handler claimed the peer");
+        // Let the handler get past the header into the stalled payload.
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        let stats = server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown waited {:?} on a stalled frame",
+            started.elapsed()
+        );
+        assert_eq!(stats.frame_timeouts, 0, "{stats:?}");
+        assert_eq!(stats.frame_rejects, 1, "{stats:?}");
+        assert!(stats.reconciles(), "{stats:?}");
+    }
+
     #[test]
     fn idle_connections_are_reaped_but_active_ones_are_not() {
         let registry = MetricsRegistry::new();
@@ -1146,7 +1078,7 @@ mod tests {
             ServerConfig {
                 handler_threads: 2,
                 poll_interval: Duration::from_millis(10),
-                idle_timeout: Some(Duration::from_millis(120)),
+                idle_timeout: Duration::from_millis(120),
                 metrics: Some(registry.clone()),
                 ..ServerConfig::default()
             },

@@ -975,11 +975,17 @@ impl DecodeService {
     /// every already-queued request (each still resolves its ticket),
     /// joins them, and returns the final stats.
     pub fn shutdown(mut self) -> ServiceStats {
+        self.stop();
+        self.stats()
+    }
+
+    /// The shutdown sequence behind [`Self::shutdown`] and `Drop`;
+    /// idempotent, since the workers are joined at most once.
+    fn stop(&mut self) {
         self.begin_shutdown();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.stats()
     }
 
     fn begin_shutdown(&self) {
@@ -993,12 +999,7 @@ impl DecodeService {
 
 impl Drop for DecodeService {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.begin_shutdown();
-            for h in self.workers.drain(..) {
-                let _ = h.join();
-            }
-        }
+        self.stop();
     }
 }
 

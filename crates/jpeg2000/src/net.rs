@@ -322,12 +322,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn i32(&mut self, what: &str) -> Result<i32, WireError> {
-        Ok(i32::from_le_bytes(
-            self.bytes(4, what)?.try_into().expect("4-byte slice"),
-        ))
-    }
-
     fn finish(self, what: &str) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::Protocol(format!(
@@ -533,12 +527,20 @@ fn served_from_wire(v: u8) -> Result<ServedFrom, WireError> {
 
 const NO_TILE: u32 = u32::MAX;
 
-fn put_string(out: &mut Vec<u8>, s: &str, max: usize) {
-    let mut end = s.len().min(max);
+/// Longest error/failure detail carried on the wire, in bytes.
+const MAX_DETAIL: usize = 1024;
+
+/// `s` cut to at most [`MAX_DETAIL`] bytes, on a character boundary.
+fn clip(s: &str) -> &str {
+    let mut end = s.len().min(MAX_DETAIL);
     while end > 0 && !s.is_char_boundary(end) {
         end -= 1;
     }
-    let s = &s[..end];
+    &s[..end]
+}
+
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    let s = clip(s);
     put_u16(out, s.len() as u16);
     out.extend_from_slice(s.as_bytes());
 }
@@ -550,10 +552,30 @@ fn get_string(c: &mut Cursor<'_>, what: &str) -> Result<String, WireError> {
         .map_err(|_| WireError::Protocol(format!("{what} is not UTF-8")))
 }
 
+/// The exact payload length [`encode_ok`] produces for `image` and
+/// `report`, known before a byte is written.
+pub(crate) fn ok_len(image: &Image, report: Option<&WireReport>) -> usize {
+    // Header: tag, status, served-from (1 each), width, height (4
+    // each), depth, component count (1 each) = 13; each plane its
+    // width and height, then 4 bytes a sample; the report flag; then
+    // a failure count and per failure its tile (4), stage (1) and
+    // length-prefixed (2) detail.
+    let raster: usize = image.components.iter().map(|p| 8 + 4 * p.data.len()).sum();
+    let report = report.map_or(0, |r| {
+        4 + r
+            .failures
+            .iter()
+            .map(|f| 7 + clip(&f.detail).len())
+            .sum::<usize>()
+    });
+    13 + raster + 1 + report
+}
+
 /// Encodes a success response: served-from level, the raster, and the
 /// optional report summary.
 pub fn encode_ok(image: &Image, report: Option<&WireReport>, served_from: ServedFrom) -> Vec<u8> {
-    let mut out = Vec::new();
+    let len = ok_len(image, report);
+    let mut out = Vec::with_capacity(len);
     out.push(TAG_RESPONSE);
     out.push(STATUS_OK);
     out.push(served_to_wire(served_from));
@@ -564,8 +586,10 @@ pub fn encode_ok(image: &Image, report: Option<&WireReport>, served_from: Served
     for plane in &image.components {
         put_u32(&mut out, plane.width as u32);
         put_u32(&mut out, plane.height as u32);
-        for &v in &plane.data {
-            out.extend_from_slice(&v.to_le_bytes());
+        let start = out.len();
+        out.resize(start + 4 * plane.data.len(), 0);
+        for (dst, v) in out[start..].chunks_exact_mut(4).zip(&plane.data) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
     match report {
@@ -576,10 +600,11 @@ pub fn encode_ok(image: &Image, report: Option<&WireReport>, served_from: Served
             for f in &r.failures {
                 put_u32(&mut out, f.tile.unwrap_or(NO_TILE));
                 out.push(stage_to_wire(f.stage));
-                put_string(&mut out, &f.detail, 1024);
+                put_string(&mut out, &f.detail);
             }
         }
     }
+    debug_assert_eq!(out.len(), len, "ok_len disagrees with encode_ok");
     out
 }
 
@@ -610,11 +635,16 @@ pub fn encode_busy() -> Vec<u8> {
     encode_error(STATUS_BUSY, "")
 }
 
+/// Encodes an internal-error response.
+pub(crate) fn encode_internal_error(detail: &str) -> Vec<u8> {
+    encode_error(STATUS_INTERNAL, detail)
+}
+
 fn encode_error(status: u8, detail: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + detail.len());
     out.push(TAG_RESPONSE);
     out.push(status);
-    put_string(&mut out, detail, 1024);
+    put_string(&mut out, detail);
     out
 }
 
@@ -669,10 +699,11 @@ pub fn decode_response(payload: &[u8]) -> Result<NetResponse, NetError> {
             ))
             .into());
         }
-        let mut data = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            data.push(c.i32("plane sample")?);
-        }
+        let data = c
+            .bytes(4 * samples, "plane samples")?
+            .chunks_exact(4)
+            .map(|b| i32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect();
         components.push(Plane::from_data(pw, ph, data));
     }
     let report = match c.u8("report flag")? {
@@ -1293,6 +1324,59 @@ mod tests {
         let bare = decode_response(&encode_ok(&img, None, ServedFrom::Cold)).unwrap();
         assert_eq!(bare.image, img);
         assert_eq!(bare.report, None);
+    }
+
+    #[test]
+    fn ok_response_bytes_are_pinned() {
+        // The raster layout is a contract: little-endian `i32` samples,
+        // plane by plane, each plane after its own width and height.
+        let img = Image {
+            width: 3,
+            height: 2,
+            depth: 8,
+            components: vec![
+                Plane::from_data(3, 2, vec![i32::MIN, -1, 0, 1, 0x0102_0304, i32::MAX]),
+                Plane::from_data(2, 1, vec![0x0102_0304, -1]),
+            ],
+        };
+        let report = WireReport {
+            failures: vec![WireFailure {
+                tile: Some(5),
+                stage: DecodeStage::Entropy,
+                detail: "bad".into(),
+            }],
+        };
+        #[rustfmt::skip]
+        let expected: Vec<u8> = vec![
+            2, 0, 2,                                // tag, status OK, image cache
+            3, 0, 0, 0, 2, 0, 0, 0, 8, 2,           // 3x2, depth 8, 2 planes
+            3, 0, 0, 0, 2, 0, 0, 0,                 // plane 0: 3x2
+            0x00, 0x00, 0x00, 0x80,                 // i32::MIN
+            0xFF, 0xFF, 0xFF, 0xFF,                 // -1
+            0x00, 0x00, 0x00, 0x00,                 // 0
+            0x01, 0x00, 0x00, 0x00,                 // 1
+            0x04, 0x03, 0x02, 0x01,                 // 0x0102_0304
+            0xFF, 0xFF, 0xFF, 0x7F,                 // i32::MAX
+            2, 0, 0, 0, 1, 0, 0, 0,                 // plane 1: 2x1
+            0x04, 0x03, 0x02, 0x01,                 // 0x0102_0304
+            0xFF, 0xFF, 0xFF, 0xFF,                 // -1
+            1, 1, 0, 0, 0,                          // report, 1 failure
+            5, 0, 0, 0, 1, 3, 0, b'b', b'a', b'd',  // tile 5, entropy, "bad"
+        ];
+        let payload = encode_ok(&img, Some(&report), ServedFrom::ImageCache);
+        assert_eq!(payload, expected);
+        assert_eq!(ok_len(&img, Some(&report)), expected.len());
+
+        let back = decode_response(&payload).unwrap();
+        assert_eq!(back.image, img);
+        assert_eq!(back.report, Some(report));
+        assert_eq!(back.served_from, ServedFrom::ImageCache);
+        for cut in 0..payload.len() {
+            assert!(
+                decode_response(&payload[..cut]).is_err(),
+                "prefix of {cut} bytes accepted"
+            );
+        }
     }
 
     #[test]

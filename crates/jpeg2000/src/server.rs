@@ -45,8 +45,9 @@
 //! one service submission.
 
 use crate::net::{
-    decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
-    read_frame, write_frame, DeadlineIo, WireError, WireReport, MAX_FRAME_BYTES,
+    decode_request, encode_busy, encode_internal_error, encode_ok, encode_protocol_error,
+    encode_service_error, ok_len, read_frame, write_frame, DeadlineIo, WireError, WireReport,
+    MAX_FRAME_BYTES,
 };
 use crate::service::{DecodeService, ServiceError};
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -69,7 +70,10 @@ pub struct ServerConfig {
     /// How long a handler blocks for decode-queue space before
     /// answering a retryable-busy frame.
     pub submit_timeout: Duration,
-    /// Largest request frame a handler accepts.
+    /// Largest frame payload a handler accepts — and sends: a decoded
+    /// image whose response would exceed it is answered with an
+    /// internal error naming both sizes, since a peer holding the same
+    /// limit would reject the frame and drop the connection.
     pub max_frame_bytes: usize,
     /// Poll granularity: how often a handler blocked on a connection —
     /// idle or mid-frame — rechecks the shutdown flag.
@@ -633,9 +637,18 @@ fn handle_frame(shared: &Shared, mut stream: &TcpStream, payload: &[u8]) -> bool
                 shared.release(bytes);
                 match outcome {
                     Ok(resp) => {
-                        m.ok.inc();
                         let report = resp.report.as_ref().map(WireReport::summarise);
-                        encode_ok(&resp.image, report.as_ref(), resp.served_from)
+                        let len = ok_len(&resp.image, report.as_ref());
+                        let max = shared.config.max_frame_bytes;
+                        if len > max {
+                            m.internal.inc();
+                            encode_internal_error(&format!(
+                                "response of {len} bytes exceeds the {max}-byte frame limit"
+                            ))
+                        } else {
+                            m.ok.inc();
+                            encode_ok(&resp.image, report.as_ref(), resp.served_from)
+                        }
                     }
                     Err(err) => {
                         match &err {
@@ -926,6 +939,42 @@ mod tests {
             Some(stats.ok)
         );
         assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
+    }
+
+    #[test]
+    fn response_over_the_frame_limit_is_an_internal_error() {
+        let (big, big_bytes) = lossless_stream(19);
+        let small = Image::synthetic_rgb(4, 4, 20);
+        let small_bytes = encode(&small, &EncodeParams::new(Mode::Lossless)).unwrap();
+        // A limit every request fits under but the big image's response
+        // does not.
+        let limit = encode_request(&Request::strict(), &big_bytes).len();
+        assert!(limit >= encode_request(&Request::strict(), &small_bytes).len());
+        assert!(ok_len(&big, None) > limit);
+        assert!(ok_len(&small, None) <= limit);
+        let server = start(
+            small_service(1, 4),
+            ServerConfig {
+                max_frame_bytes: limit,
+                ..ServerConfig::default()
+            },
+        );
+        let mut client = Client::connect(server.local_addr())
+            .unwrap()
+            .max_frame_bytes(limit);
+        match client.request(&Request::strict(), &big_bytes) {
+            Err(NetError::Internal(detail)) => {
+                assert!(detail.contains(&ok_len(&big, None).to_string()), "{detail}");
+                assert!(detail.contains(&limit.to_string()), "{detail}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        let resp = client.request(&Request::strict(), &small_bytes).unwrap();
+        assert_eq!(resp.image, small);
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!((stats.ok, stats.internal), (1, 1), "{stats:?}");
+        assert!(stats.reconciles(), "{stats:?}");
     }
 
     #[test]

@@ -1,21 +1,18 @@
-//! The codec throughput benchmark: flags-lattice Tier-1 kernel vs the
-//! retained reference, the inverse-DWT kernels, per-tile entropy decode
-//! on the Table-1 workload, and end-to-end decode throughput.
+//! The codec throughput benchmark: the Tier-1 kernel against the frozen
+//! `t1::reference`, the inverse-DWT kernels, per-tile entropy decode on
+//! the Table-1 workload, and end-to-end decode time.
 //!
-//! Unlike the criterion-based benches this one writes its results to
-//! `BENCH_decode.json` at the repository root — the machine-readable
-//! trajectory future PRs compare against. The `baseline_pre_pr` block
-//! holds the numbers measured on this machine immediately before the
-//! flags-lattice rewrite (PR 2) and the `baseline_pre_dwt` block the
-//! numbers immediately before the fixed-point/cache-blocked DWT rewrite
-//! (PR 7), so the recorded speedups are like-for-like.
+//! Every number is printed with a host fingerprint and compared with
+//! nothing measured on another host. The one gate is a ratio from the
+//! same run: the optimised Tier-1 kernel must decode the benchmark block
+//! at least [`KERNEL_MIN_SPEEDUP`] times as fast as `t1::reference`,
+//! whose MQ decoder is the one-bit-at-a-time flowchart. Fast and
+//! reference samples alternate, so a slow or noisy host slows both.
 //!
-//! Modes: `--test` (how `cargo test --benches` invokes bench targets) or
-//! `BENCH_QUICK=1` run a reduced smoke pass and skip the JSON write, so
-//! CI never clobbers the recorded trajectory with noisy quick numbers.
-//! Both modes *gate* on the committed trajectory: if the measured
-//! end-to-end decode regresses more than 25% against the `decode_ns`
-//! recorded in `BENCH_decode.json`, the bench fails.
+//! A full run writes `BENCH_decode.json` at the repository root. Modes:
+//! `--test` (how `cargo test --benches` invokes bench targets) or
+//! `BENCH_QUICK=1` run a reduced pass that gates the same way but skips
+//! the JSON write.
 
 use std::time::Instant;
 
@@ -29,30 +26,22 @@ use jpeg2000_models::ModeSel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Pre-PR-2 Tier-1 kernel time (64×64 HL block, min-of-samples), ns.
-const BASELINE_KERNEL_NS: u64 = 1_490_728;
-/// Pre-PR-2 per-tile entropy decode on the Table-1 workload, ns.
+/// Pre-flags-lattice per-tile entropy decode on the Table-1 workload,
+/// ns, measured on the host of that rewrite. Kept in the JSON only as
+/// the anchor `jpeg2000_models::profile` re-derives the arithmetic EET
+/// from; nothing here compares against it.
 const BASELINE_ENTROPY_NS: [(&str, u64); 2] = [("lossless", 729_004), ("lossy", 795_882)];
-/// Pre-PR-2 end-to-end decode of the Table-1 workload (best-of-20), ns.
-const BASELINE_DECODE_NS: [(&str, u64); 2] = [("lossless", 12_371_732), ("lossy", 14_835_234)];
-/// Inverse-DWT kernel times (256×256 tile, 3 levels, min-of-samples)
-/// measured immediately before the strip-blocked rewrite, ns: the
-/// per-column integer 5/3 and the retired f64 9/7.
-const BASELINE_IDWT53_NS: u64 = 607_515;
-const BASELINE_IDWT97_F64_NS: u64 = 954_323;
-/// End-to-end decode immediately before the fixed-point DWT rewrite —
-/// the committed `decode_ns` trajectory as of PR 6, ns.
-const BASELINE_PRE_DWT_DECODE_NS: [(&str, u64); 2] =
-    [("lossless", 7_352_701), ("lossy", 10_077_050)];
 
-/// Maximum tolerated end-to-end decode slowdown vs the committed
-/// `BENCH_decode.json` before the bench fails. Generous because the CI
-/// quick pass uses few samples on a noisy shared CPU; it exists to catch
-/// real regressions (a lost kernel optimisation), not jitter.
-const GATE_MAX_RATIO: f64 = 1.25;
+/// The least same-run speed-up of the optimised Tier-1 kernel over
+/// `t1::reference` before the bench fails. The kernel ran 1.82× as fast
+/// as the reference before the branch-free MQ decoder and about 2.4×
+/// after it; the floor sits below both so that host noise does not
+/// trip it, while a lost optimisation (a fast path no faster than the
+/// per-sample reference) does.
+const KERNEL_MIN_SPEEDUP: f64 = 1.5;
 
-/// Best-of-`samples` wall-clock of `f`, in ns. Min (not mean) because a
-/// 1-CPU container's scheduler noise only ever adds time.
+/// Best-of-`samples` wall-clock of `f`, in ns. Min (not mean) because
+/// scheduler noise only ever adds time.
 fn best_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..samples {
@@ -63,29 +52,41 @@ fn best_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     best
 }
 
-/// Extracts one named entry of the *top-level* `decode_ns` block from
-/// the committed `BENCH_decode.json` (the first `decode_ns` in the file;
-/// the baseline blocks repeat the key further down). Hand-rolled so the
-/// bench needs no JSON dependency.
-fn committed_decode_ns(json: &str, name: &str) -> Option<u64> {
-    let obj = &json[json.find("\"decode_ns\"")?..];
-    let obj = &obj[..obj.find('}')? + 1];
-    let v = &obj[obj.find(&format!("\"{name}\""))?..];
-    let digits: String = v
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Best-of-`samples` wall-clock of `a` and of `b`, in ns, with the
+/// samples of the two interleaved.
+fn best_ns_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
+    let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
+    for _ in 0..samples {
+        best_a = best_a.min(best_ns(1, &mut a));
+        best_b = best_b.min(best_ns(1, &mut b));
+    }
+    (best_a, best_b)
+}
+
+/// Where the numbers were measured: the CPU model and the usable cores.
+fn host_fingerprint() -> (String, usize) {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    (cpu, cores)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--test") || std::env::var_os("BENCH_QUICK").is_some();
-    // Quick mode takes enough samples that a best-of min is a stable
-    // input to the regression gate; the whole pass still runs in
-    // seconds.
     let (warmup, samples) = if quick { (2, 5) } else { (5, 30) };
+    // The gated kernel pair takes more samples: each is about a
+    // millisecond, and the ratio of two minima needs both to settle.
+    let kernel_samples = if quick { 30 } else { 100 };
+    let (cpu, cores) = host_fingerprint();
+    println!("host: {cpu}, {cores} cores");
 
     // --- Kernel: 64×64 HL code-block, same data as codec_kernels.rs ---
     let (w, h) = (64usize, 64usize);
@@ -101,28 +102,31 @@ fn main() {
         .collect();
     let negative: Vec<bool> = (0..w * h).map(|_| rng.gen_bool(0.5)).collect();
     let enc = encode_block(&mags, &negative, w, h, BandKind::Hl);
-    let check = decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
+    let fast = || decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
+    let slow = || reference::decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
     assert_eq!(
-        check,
-        reference::decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes),
+        fast(),
+        slow(),
         "fast path must match the reference before being timed"
     );
-
     for _ in 0..warmup {
-        let _ = decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
+        let _ = fast();
+        let _ = slow();
     }
-    let opt_ns = best_ns(samples, || {
-        let _ = decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
-    });
-    let ref_ns = best_ns(samples, || {
-        let _ = reference::decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
-    });
+    let (opt_ns, ref_ns) = best_ns_pair(
+        kernel_samples,
+        || {
+            let _ = fast();
+        },
+        || {
+            let _ = slow();
+        },
+    );
+    let kernel_speedup = ref_ns as f64 / opt_ns as f64;
     let samples_per_sec = (w * h) as f64 / (opt_ns as f64 / 1e9);
     println!(
         "t1 kernel 64x64 HL: optimized {opt_ns} ns, reference {ref_ns} ns \
-         ({:.2}x vs in-tree reference, {:.2}x vs pre-PR {BASELINE_KERNEL_NS} ns)",
-        ref_ns as f64 / opt_ns as f64,
-        BASELINE_KERNEL_NS as f64 / opt_ns as f64,
+         ({kernel_speedup:.2}x vs t1::reference, same run)"
     );
 
     // --- DWT kernels: 256×256 tile, 3 levels --------------------------
@@ -150,12 +154,7 @@ fn main() {
         let mut buf = fwd97_fixed.clone();
         idwt97_2d_fixed(&mut buf, n, n, 3);
     });
-    println!(
-        "dwt 256x256 l3: idwt53 {idwt53_ns} ns ({:.2}x vs pre-PR {BASELINE_IDWT53_NS} ns), \
-         idwt97_fixed {idwt97_ns} ns ({:.2}x vs pre-PR f64 {BASELINE_IDWT97_F64_NS} ns)",
-        BASELINE_IDWT53_NS as f64 / idwt53_ns as f64,
-        BASELINE_IDWT97_F64_NS as f64 / idwt97_ns as f64,
-    );
+    println!("dwt 256x256 l3: idwt53 {idwt53_ns} ns, idwt97_fixed {idwt97_ns} ns");
 
     // --- Per-tile entropy decode + end-to-end decode, both modes ------
     let mut entropy_ns = Vec::new();
@@ -193,24 +192,13 @@ fn main() {
         println!("{name}: entropy {per_tile} ns/tile, decode {total} ns ({mbps:.3} MB/s)");
     }
 
-    // --- Regression gate vs the committed trajectory ------------------
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode.json");
-    match std::fs::read_to_string(path) {
-        Ok(committed) => {
-            for &(name, measured) in &decode_ns {
-                let pinned = committed_decode_ns(&committed, name)
-                    .unwrap_or_else(|| panic!("BENCH_decode.json has no decode_ns.{name}"));
-                let ratio = measured as f64 / pinned as f64;
-                println!("gate {name}: {measured} ns vs committed {pinned} ns ({ratio:.3}x)");
-                assert!(
-                    ratio <= GATE_MAX_RATIO,
-                    "{name} decode regressed to {ratio:.3}x of the committed \
-                     BENCH_decode.json ({measured} ns vs {pinned} ns, limit {GATE_MAX_RATIO}x)"
-                );
-            }
-        }
-        Err(e) => println!("no committed BENCH_decode.json to gate against ({e})"),
-    }
+    // --- Gate: same-run kernel ratio ----------------------------------
+    println!("gate: t1 kernel {kernel_speedup:.2}x vs t1::reference (floor {KERNEL_MIN_SPEEDUP}x)");
+    assert!(
+        kernel_speedup >= KERNEL_MIN_SPEEDUP,
+        "the optimised Tier-1 kernel ran only {kernel_speedup:.2}x as fast as t1::reference \
+         in this run ({opt_ns} ns vs {ref_ns} ns, floor {KERNEL_MIN_SPEEDUP}x)"
+    );
 
     if quick {
         println!("quick mode: skipping BENCH_decode.json");
@@ -238,45 +226,19 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"bench\": \"t1_throughput\",\n  \"workload\": \"table1_128x128_rgb_16_tiles\",\n  \
+         \"host\": {{ \"cpu_model\": {cpu:?}, \"available_parallelism\": {cores} }},\n  \
          \"kernel_64x64_hl\": {{ \"optimized_ns\": {opt_ns}, \"reference_ns\": {ref_ns}, \
-         \"samples_per_sec\": {samples_per_sec:.0}, \
-         \"speedup_vs_reference\": {:.3}, \"speedup_vs_pre_pr\": {:.3} }},\n  \
-         \"idwt_256x256_l3\": {{ \"idwt53_ns\": {idwt53_ns}, \"idwt97_fixed_ns\": {idwt97_ns}, \
-         \"speedup_53_vs_pre_dwt\": {:.3}, \"speedup_97_vs_pre_dwt_f64\": {:.3} }},\n  \
+         \"samples_per_sec\": {samples_per_sec:.0}, \"speedup_vs_reference\": {kernel_speedup:.3} }},\n  \
+         \"idwt_256x256_l3\": {{ \"idwt53_ns\": {idwt53_ns}, \"idwt97_fixed_ns\": {idwt97_ns} }},\n  \
          \"entropy_per_tile_ns\": {{ {} }},\n  \"decode_ns\": {{ {} }},\n  \
          \"decode_mb_per_s\": {{ {} }},\n  \
-         \"baseline_pre_pr\": {{ \"kernel_64x64_hl_ns\": {BASELINE_KERNEL_NS}, \
-         \"entropy_per_tile_ns\": {{ {} }}, \"decode_ns\": {{ {} }} }},\n  \
-         \"baseline_pre_dwt\": {{ \"idwt53_ns\": {BASELINE_IDWT53_NS}, \
-         \"idwt97_f64_ns\": {BASELINE_IDWT97_F64_NS}, \"decode_ns\": {{ {} }} }},\n  \
-         \"entropy_speedup_vs_pre_pr\": {{ {} }},\n  \"decode_speedup_vs_pre_pr\": {{ {} }},\n  \
-         \"decode_speedup_vs_pre_dwt\": {{ {} }}\n}}\n",
-        ref_ns as f64 / opt_ns as f64,
-        BASELINE_KERNEL_NS as f64 / opt_ns as f64,
-        BASELINE_IDWT53_NS as f64 / idwt53_ns as f64,
-        BASELINE_IDWT97_F64_NS as f64 / idwt97_ns as f64,
+         \"baseline_pre_pr\": {{ \"entropy_per_tile_ns\": {{ {} }} }}\n}}\n",
         num(&entropy_ns),
         num(&decode_ns),
         flt(&decode_mbps),
         num(&BASELINE_ENTROPY_NS),
-        num(&BASELINE_DECODE_NS),
-        num(&BASELINE_PRE_DWT_DECODE_NS),
-        flt(&entropy_ns
-            .iter()
-            .zip(&BASELINE_ENTROPY_NS)
-            .map(|(&(k, v), &(_, b))| (k, b as f64 / v as f64))
-            .collect::<Vec<_>>()),
-        flt(&decode_ns
-            .iter()
-            .zip(&BASELINE_DECODE_NS)
-            .map(|(&(k, v), &(_, b))| (k, b as f64 / v as f64))
-            .collect::<Vec<_>>()),
-        flt(&decode_ns
-            .iter()
-            .zip(&BASELINE_PRE_DWT_DECODE_NS)
-            .map(|(&(k, v), &(_, b))| (k, b as f64 / v as f64))
-            .collect::<Vec<_>>()),
     );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode.json");
     std::fs::write(path, &json).expect("write BENCH_decode.json");
     println!("wrote {path}");
 }

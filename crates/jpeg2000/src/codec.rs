@@ -826,11 +826,9 @@ impl StagedDecoder {
                                 None => return Err(e),
                             }
                         }
-                        let refs: Vec<(&[u8], u32)> =
-                            segments.iter().map(|(d, n)| (d.as_slice(), *n)).collect();
                         let (mags, negative) = scratch
                             .t1
-                            .decode_block_segments(&refs, r.w, r.h, band.kind, mb);
+                            .decode_block_segments(segments, r.w, r.h, band.kind, mb);
                         for y in 0..r.h {
                             for x in 0..r.w {
                                 let m = mags[y * r.w + x];
@@ -1457,6 +1455,31 @@ mod tests {
                     .flat_map(|c| c.data.iter().flat_map(|v| v.to_le_bytes())),
             );
             assert_eq!(ih, image_fnv, "{mode:?} image");
+        }
+    }
+
+    /// The Tier-1 work of the Table-1 decodes, pinned: a faster MQ or
+    /// Tier-1 kernel must do exactly the same work, block for block and
+    /// renormalisation for renormalisation.
+    #[test]
+    fn table1_decode_counters_are_pinned() {
+        for (mode, want) in [
+            (Mode::Lossless, [480u64, 6381, 126_373, 21_259]),
+            (Mode::lossy_default(), [480, 6453, 145_029, 24_709]),
+        ] {
+            let img = Image::synthetic_rgb(128, 128, 2008);
+            let bytes = encode(&img, &EncodeParams::new(mode).tile_size(32, 32)).unwrap();
+            let dec = StagedDecoder::new(&bytes).unwrap();
+            let mut scratch = DecodeScratch::new();
+            for t in 0..dec.num_tiles() {
+                dec.entropy_decode_tile_with(t, &mut scratch).unwrap();
+            }
+            let c = scratch.counters();
+            assert_eq!(
+                [c.code_blocks, c.coding_passes, c.mq_renorms, c.bytes_in],
+                want,
+                "{mode:?}: [code_blocks, coding_passes, mq_renorms, bytes_in]"
+            );
         }
     }
 

@@ -26,7 +26,7 @@ pub struct DecodeCounters {
     pub code_blocks: u64,
     /// Coding passes executed.
     pub coding_passes: u64,
-    /// MQ renormalisations (exits from the MPS fast path).
+    /// MQ decisions that renormalised.
     pub mq_renorms: u64,
     /// Compressed bytes consumed by Tier-1.
     pub bytes_in: u64,

@@ -6,7 +6,10 @@
 //! cleanup — through the [`crate::mq`] arithmetic coder with 19 adaptive
 //! contexts. Together with the MQ coder this is the stage the paper calls
 //! the *arithmetic decoder*, the one that consumes ~88 % of the decode
-//! time and gets parallelised four ways in model versions 4/5.
+//! time and gets parallelised four ways in model versions 4/5. In this
+//! implementation too it is most of the cold decode: Tier-1 block
+//! decoding is about 93 % of `entropy_decode_tile_with` on the serving
+//! benchmark's streams.
 //!
 //! # The flags lattice
 //!
@@ -23,6 +26,23 @@
 //! original per-sample implementation is retained in `t1::reference` (under
 //! `cfg(test)` or the `reference-t1` feature) and property-tested to be
 //! bit-exact against this fast path.
+//!
+//! # The decode passes
+//!
+//! More than half of all MQ decisions renormalise (see [`crate::mq`]), so
+//! the decode passes avoid unpredictable branches around them too:
+//!
+//! * Each pass clones the [`MqDecoder`] into a local at its start and
+//!   writes it back once at its end, so the decoder's registers stay
+//!   registers for the whole pass (openjpeg's `DOWNLOAD_MQC_VARIABLES`).
+//! * Each stripe column's candidates form a 4-bit mask, visited with
+//!   `trailing_zeros` instead of one branch per sample. The refinement
+//!   and cleanup masks cannot change while their column is coded; the
+//!   significance mask is recomputed for the rows below a sample that
+//!   turns significant. A column without candidates costs four loads.
+//! * The refinement bit is OR-ed into the magnitude without a branch,
+//!   and the cleanup pass, as the last pass over each column of a plane,
+//!   resets that column's VISITED flags itself.
 
 use crate::mq::{MqContext, MqDecoder, MqEncoder};
 use crate::tile::BandKind;
@@ -32,6 +52,12 @@ use crate::tile::BandKind;
 #[cfg(any(test, feature = "reference-t1"))]
 #[path = "t1_reference.rs"]
 pub mod reference;
+
+/// The most magnitude bit-planes a code-block can carry: plane `p`
+/// sets bit `p` of a `u32` magnitude. The decoders treat a larger
+/// bit-plane count like 0 (an all-zero block) instead of shifting out of
+/// range; the codec itself never signals more than 18.
+pub const MAX_BITPLANES: u8 = 31;
 
 /// Number of adaptive contexts used by Tier-1.
 pub const NUM_CONTEXTS: usize = 19;
@@ -349,18 +375,18 @@ enum PassKind {
 }
 
 /// The EBCOT pass schedule for `mb` bit-planes: cleanup only on the most
-/// significant plane, all three passes below it. The boolean marks passes
-/// after which the per-plane VISITED flags reset.
-fn pass_sequence(mb: u32) -> Vec<(PassKind, u32, bool)> {
-    let mut seq = Vec::new();
-    for p in (0..mb).rev() {
-        if p != mb - 1 {
-            seq.push((PassKind::Significance, p, false));
-            seq.push((PassKind::Refinement, p, false));
-        }
-        seq.push((PassKind::Cleanup, p, true));
-    }
-    seq
+/// significant plane, all three passes below it, `3·mb − 2` passes in
+/// all. The boolean marks passes after which the per-plane VISITED flags
+/// reset (the decode fast path resets them inside its cleanup pass).
+fn pass_sequence(mb: u32) -> impl Iterator<Item = (PassKind, u32, bool)> {
+    (0..mb).rev().flat_map(move |p| {
+        let plane = [
+            (PassKind::Significance, p, false),
+            (PassKind::Refinement, p, false),
+            (PassKind::Cleanup, p, true),
+        ];
+        plane.into_iter().skip(if p == mb - 1 { 2 } else { 0 })
+    })
 }
 
 /// One MQ codeword segment of a layered code-block.
@@ -404,8 +430,7 @@ pub fn encode_block_layers(
     if mb == 0 {
         return (Vec::new(), 0);
     }
-    let seq = pass_sequence(mb as u32);
-    let total = seq.len();
+    let total = 3 * mb as usize - 2;
     // Contiguous pass ranges per layer, remainder to the earliest layers.
     let mut boundaries = Vec::with_capacity(num_layers);
     let (base, rem) = (total / num_layers, total % num_layers);
@@ -422,7 +447,7 @@ pub fn encode_block_layers(
     let mut segments = Vec::with_capacity(num_layers);
     let mut passes_in_segment = 0u32;
     let mut next_boundary = 0usize;
-    for (i, &(pass, p, clear)) in seq.iter().enumerate() {
+    for (i, (pass, p, clear)) in pass_sequence(mb as u32).enumerate() {
         match pass {
             PassKind::Significance => {
                 enc_sig_pass(&mut mq, &mut ctxs, &mut flags, mags, negative, w, h, zc, p)
@@ -631,7 +656,7 @@ pub struct T1Counters {
     pub coding_passes: u64,
     /// Compressed bytes consumed.
     pub bytes_in: u64,
-    /// MQ renormalisations (exits from the MPS fast path).
+    /// MQ decisions that renormalised.
     pub mq_renorms: u64,
 }
 
@@ -658,10 +683,12 @@ impl T1Scratch {
 
     /// Decodes a code-block like [`decode_block_segments`], but into this
     /// scratch's reused buffers. The returned slices are valid until the
-    /// next call.
-    pub fn decode_block_segments(
+    /// next call. Each segment's bytes may be any `AsRef<[u8]>` (a
+    /// borrowed slice or an owned `Vec<u8>`), so a caller holding owned
+    /// segments needs no per-block slice of references.
+    pub fn decode_block_segments<D: AsRef<[u8]>>(
         &mut self,
-        segments: &[(&[u8], u32)],
+        segments: &[(D, u32)],
         w: usize,
         h: usize,
         kind: BandKind,
@@ -678,8 +705,10 @@ impl T1Scratch {
             mb,
         );
         self.counters.blocks += 1;
-        self.counters.coding_passes += segments.iter().map(|&(_, n)| n as u64).sum::<u64>();
-        self.counters.bytes_in += segments.iter().map(|&(d, _)| d.len() as u64).sum::<u64>();
+        for (d, n) in segments {
+            self.counters.coding_passes += u64::from(*n);
+            self.counters.bytes_in += d.as_ref().len() as u64;
+        }
         self.counters.mq_renorms += renorms;
         (&self.mags, &self.negative)
     }
@@ -688,7 +717,9 @@ impl T1Scratch {
 /// Decodes one code-block back into `(magnitudes, negative)` arrays.
 ///
 /// `num_passes` is the pass count from the packet header; the number of
-/// bit-planes is `(num_passes + 2) / 3`.
+/// bit-planes is `(num_passes + 2) / 3`, saturated to `u8::MAX`, so a
+/// pass count beyond [`MAX_BITPLANES`] planes decodes as an all-zero
+/// block.
 pub fn decode_block(
     data: &[u8],
     w: usize,
@@ -699,15 +730,16 @@ pub fn decode_block(
     if num_passes == 0 {
         return (vec![0; w * h], vec![false; w * h]);
     }
-    let mb = num_passes.div_ceil(3);
-    decode_block_segments(&[(data, num_passes)], w, h, kind, mb as u8)
+    let mb = u8::try_from(num_passes.div_ceil(3)).unwrap_or(u8::MAX);
+    decode_block_segments(&[(data, num_passes)], w, h, kind, mb)
 }
 
 /// Decodes a code-block from one or more terminated codeword segments
 /// (the layered form of [`encode_block_layers`]). `mb` is the bit-plane
 /// count signalled by the packet header's zero-bit-plane field; fewer
 /// passes than the full schedule yield the standard's partial (quality-
-/// truncated) reconstruction.
+/// truncated) reconstruction. An `mb` of 0 or above [`MAX_BITPLANES`]
+/// yields an all-zero block.
 pub fn decode_block_segments(
     segments: &[(&[u8], u32)],
     w: usize,
@@ -734,11 +766,11 @@ pub fn decode_block_segments(
 /// Returns the number of MQ renormalisations performed, summed across
 /// every codeword segment of the block.
 #[allow(clippy::too_many_arguments)]
-fn decode_segments_core(
+fn decode_segments_core<D: AsRef<[u8]>>(
     flags: &mut Vec<u32>,
     mags: &mut Vec<u32>,
     negative: &mut Vec<bool>,
-    segments: &[(&[u8], u32)],
+    segments: &[(D, u32)],
     w: usize,
     h: usize,
     kind: BandKind,
@@ -748,56 +780,48 @@ fn decode_segments_core(
     mags.resize(w * h, 0);
     negative.clear();
     negative.resize(w * h, false);
-    if mb == 0 || w == 0 || h == 0 || segments.is_empty() {
+    if mb == 0 || mb > MAX_BITPLANES || w == 0 || h == 0 {
         return 0;
     }
     flags.clear();
     flags.resize((w + 2) * (h + 2), 0);
     let zc = zc_lut(kind);
-    let seq = pass_sequence(mb as u32);
-    let total_passes: u32 = segments.iter().map(|&(_, n)| n).sum();
     let mut ctxs = initial_contexts();
-    let mut seg_iter = segments.iter();
-    let (mut seg_data, mut seg_left) = match seg_iter.next() {
-        Some(&(d, n)) => (d, n),
-        None => return 0,
-    };
+    let mut passes = pass_sequence(mb as u32);
     let mut renorms = 0u64;
-    let mut mq = MqDecoder::new(seg_data);
-    for &(pass, p, clear) in seq.iter().take(total_passes as usize) {
-        while seg_left == 0 {
-            match seg_iter.next() {
-                Some(&(d, n)) => {
-                    seg_data = d;
-                    seg_left = n;
-                    renorms += mq.renorms();
-                    mq = MqDecoder::new(seg_data);
+    for (data, n) in segments {
+        let mut mq = MqDecoder::new(data.as_ref());
+        for (pass, p, _) in passes.by_ref().take(*n as usize) {
+            match pass {
+                PassKind::Significance => {
+                    dec_sig_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
                 }
-                None => return renorms + mq.renorms(),
+                PassKind::Refinement => dec_ref_pass(&mut mq, &mut ctxs, flags, mags, w, h, p),
+                PassKind::Cleanup => {
+                    dec_cleanup_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
+                }
             }
         }
-        match pass {
-            PassKind::Significance => {
-                dec_sig_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
-            }
-            PassKind::Refinement => dec_ref_pass(&mut mq, &mut ctxs, flags, mags, w, h, p),
-            PassKind::Cleanup => {
-                dec_cleanup_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
-            }
-        }
-        if clear {
-            for f in flags.iter_mut() {
-                *f &= !F_VISITED;
-            }
-        }
-        seg_left -= 1;
+        renorms += mq.renorms();
     }
-    renorms + mq.renorms()
+    renorms
+}
+
+/// Significance-pass candidates: insignificant samples whose
+/// neighbourhood holds a significant sample.
+#[inline]
+fn sig_candidates(flags: &[u32], col_i: usize, stride: usize, sh: usize) -> u32 {
+    let mut m = 0;
+    for k in 0..sh {
+        let f = flags[col_i + k * stride];
+        m |= ((f & F_SELF_SIG == 0 && f & F_NEIGH_SIG != 0) as u32) << k;
+    }
+    m
 }
 
 #[allow(clippy::too_many_arguments)]
 fn dec_sig_pass(
-    mq: &mut MqDecoder<'_>,
+    mq_out: &mut MqDecoder<'_>,
     ctxs: &mut [MqContext; NUM_CONTEXTS],
     flags: &mut [u32],
     mags: &mut [u32],
@@ -807,139 +831,139 @@ fn dec_sig_pass(
     zc: &[u8; 256],
     p: u32,
 ) {
+    let mut mq = mq_out.clone();
     let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
+    for sy in (0..h).step_by(4) {
         let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
+        for x in 0..w {
+            let col_i = (sy + 1) * stride + 1 + x;
+            let col_j = sy * w + x;
+            let mut cand = sig_candidates(flags, col_i, stride, sh);
+            while cand != 0 {
+                let k = cand.trailing_zeros() as usize;
+                let (i, j) = (col_i + k * stride, col_j + k * w);
                 let f = flags[i];
-                if f & F_SELF_SIG == 0 && f & F_NEIGH_SIG != 0 {
-                    let bit = mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize]);
-                    if bit {
-                        let (sc, xor) = sc_lookup(f);
-                        let neg = mq.decode(&mut ctxs[sc]) ^ xor;
-                        negative[j] = neg;
-                        mags[j] |= 1 << p;
-                        set_significant(flags, stride, i, neg);
-                    }
-                    flags[i] |= F_VISITED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-}
-
-fn dec_ref_pass(
-    mq: &mut MqDecoder<'_>,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &mut [u32],
-    w: usize,
-    h: usize,
-    p: u32,
-) {
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
-                let f = flags[i];
-                if f & F_SELF_SIG != 0 && f & F_VISITED == 0 {
-                    if mq.decode(&mut ctxs[mr_lookup(f)]) {
-                        mags[j] |= 1 << p;
-                    }
-                    flags[i] |= F_REFINED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dec_cleanup_pass(
-    mq: &mut MqDecoder<'_>,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &mut [u32],
-    negative: &mut [bool],
-    w: usize,
-    h: usize,
-    zc: &[u8; 256],
-    p: u32,
-) {
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let mut dy = 0;
-            if sh == 4 {
-                let combined = flags[col_i]
-                    | flags[col_i + stride]
-                    | flags[col_i + 2 * stride]
-                    | flags[col_i + 3 * stride];
-                if combined & (F_SELF_SIG | F_VISITED | F_NEIGH_SIG) == 0 {
-                    if !mq.decode(&mut ctxs[CTX_RL]) {
-                        col_i += 1;
-                        col_j += 1;
-                        continue; // whole column zero
-                    }
-                    let k = ((mq.decode(&mut ctxs[CTX_UNI]) as usize) << 1)
-                        | mq.decode(&mut ctxs[CTX_UNI]) as usize;
-                    let i = col_i + k * stride;
-                    let j = col_j + k * w;
-                    let (sc, xor) = sc_lookup(flags[i]);
+                flags[i] = f | F_VISITED;
+                if mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize]) {
+                    let (sc, xor) = sc_lookup(f);
                     let neg = mq.decode(&mut ctxs[sc]) ^ xor;
                     negative[j] = neg;
                     mags[j] |= 1 << p;
                     set_significant(flags, stride, i, neg);
-                    dy = k + 1;
+                    // The new significance can make the rows below
+                    // candidates.
+                    cand = sig_candidates(flags, col_i, stride, sh) & (!1 << k);
+                } else {
+                    cand &= cand - 1;
                 }
             }
-            let (mut i, mut j) = (col_i + dy * stride, col_j + dy * w);
-            while dy < sh {
+        }
+    }
+    *mq_out = mq;
+}
+
+fn dec_ref_pass(
+    mq_out: &mut MqDecoder<'_>,
+    ctxs: &mut [MqContext; NUM_CONTEXTS],
+    flags: &mut [u32],
+    mags: &mut [u32],
+    w: usize,
+    h: usize,
+    p: u32,
+) {
+    let mut mq = mq_out.clone();
+    let stride = w + 2;
+    for sy in (0..h).step_by(4) {
+        let sh = (h - sy).min(4);
+        for x in 0..w {
+            let col_i = (sy + 1) * stride + 1 + x;
+            let col_j = sy * w + x;
+            // Significant and not coded in this plane's significance
+            // pass; refining a sample changes no other sample's
+            // candidacy, so the mask holds for the whole column.
+            let mut cand = 0;
+            for k in 0..sh {
+                let f = flags[col_i + k * stride];
+                cand |= ((f & (F_SELF_SIG | F_VISITED) == F_SELF_SIG) as u32) << k;
+            }
+            while cand != 0 {
+                let k = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let (i, j) = (col_i + k * stride, col_j + k * w);
                 let f = flags[i];
-                if f & (F_SELF_SIG | F_VISITED) == 0
-                    && mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize])
-                {
+                let bit = mq.decode(&mut ctxs[mr_lookup(f)]);
+                mags[j] |= (bit as u32) << p;
+                flags[i] = f | F_REFINED;
+            }
+        }
+    }
+    *mq_out = mq;
+}
+
+#[allow(clippy::too_many_arguments)]
+fn dec_cleanup_pass(
+    mq_out: &mut MqDecoder<'_>,
+    ctxs: &mut [MqContext; NUM_CONTEXTS],
+    flags: &mut [u32],
+    mags: &mut [u32],
+    negative: &mut [bool],
+    w: usize,
+    h: usize,
+    zc: &[u8; 256],
+    p: u32,
+) {
+    let mut mq = mq_out.clone();
+    let stride = w + 2;
+    for sy in (0..h).step_by(4) {
+        let sh = (h - sy).min(4);
+        for x in 0..w {
+            let col_i = (sy + 1) * stride + 1 + x;
+            let col_j = sy * w + x;
+            // Neither significant nor coded earlier in this plane; a
+            // sample turning significant here is past its own turn, so
+            // the mask holds for the whole column.
+            // This is the plane's last pass over the column, so it also
+            // resets the column's VISITED flags for the next plane.
+            let mut cand = 0;
+            let mut combined = 0;
+            for k in 0..sh {
+                let f = flags[col_i + k * stride];
+                combined |= f;
+                cand |= ((f & (F_SELF_SIG | F_VISITED) == 0) as u32) << k;
+                flags[col_i + k * stride] = f & !F_VISITED;
+            }
+            // Run-length mode: a full stripe column, all four samples
+            // uncoded, insignificant and with empty neighbourhoods.
+            if sh == 4 && combined & (F_SELF_SIG | F_VISITED | F_NEIGH_SIG) == 0 {
+                if !mq.decode(&mut ctxs[CTX_RL]) {
+                    continue; // whole column zero
+                }
+                let k = ((mq.decode(&mut ctxs[CTX_UNI]) as usize) << 1)
+                    | mq.decode(&mut ctxs[CTX_UNI]) as usize;
+                let (i, j) = (col_i + k * stride, col_j + k * w);
+                let (sc, xor) = sc_lookup(flags[i]);
+                let neg = mq.decode(&mut ctxs[sc]) ^ xor;
+                negative[j] = neg;
+                mags[j] |= 1 << p;
+                set_significant(flags, stride, i, neg);
+                cand &= !1 << k;
+            }
+            while cand != 0 {
+                let k = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let (i, j) = (col_i + k * stride, col_j + k * w);
+                let f = flags[i];
+                if mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize]) {
                     let (sc, xor) = sc_lookup(f);
                     let neg = mq.decode(&mut ctxs[sc]) ^ xor;
                     negative[j] = neg;
                     mags[j] |= 1 << p;
                     set_significant(flags, stride, i, neg);
                 }
-                i += stride;
-                j += w;
-                dy += 1;
             }
-            col_i += 1;
-            col_j += 1;
         }
-        sy += 4;
     }
+    *mq_out = mq;
 }
 
 #[cfg(test)]
@@ -1114,11 +1138,11 @@ mod tests {
 
     #[test]
     fn pass_sequence_shape() {
-        assert!(pass_sequence(0).is_empty());
-        let s1 = pass_sequence(1);
+        assert_eq!(pass_sequence(0).count(), 0);
+        let s1: Vec<_> = pass_sequence(1).collect();
         assert_eq!(s1.len(), 1);
         assert_eq!(s1[0].0, PassKind::Cleanup);
-        let s3 = pass_sequence(3);
+        let s3: Vec<_> = pass_sequence(3).collect();
         assert_eq!(s3.len(), 7); // 3*3 - 2
         assert_eq!(s3[0], (PassKind::Cleanup, 2, true));
         assert_eq!(s3[1], (PassKind::Significance, 1, false));
@@ -1262,28 +1286,127 @@ mod tests {
         }
 
         /// The flags-lattice decoder reconstructs exactly what the
-        /// reference decoder does, including partial (pass-truncated)
-        /// segment sets.
+        /// reference decoder (with its own flowchart MQ decoder) does,
+        /// over four kinds of input:
+        /// 0. one segment truncated to a random prefix of its passes;
+        /// 1. the segments of `encode_block_layers`, a random prefix of
+        ///    them kept and the last one possibly cut short;
+        /// 2. random garbage segment bytes with random pass counts,
+        ///    which must decode like the reference and never panic;
+        /// 3. a random sequence of block sizes and orientations.
+        ///
+        /// Every input is decoded by the free function and by one
+        /// `T1Scratch` reused across the whole case.
         #[test]
         fn lattice_decode_is_bit_exact_vs_reference(
             w in 1usize..=64,
             h in 1usize..=64,
             kind_sel in 0usize..4,
             keep_num in 1u32..=100,
+            input in 0usize..4,
             seed in any::<u64>(),
         ) {
-            let kind = [BandKind::Ll, BandKind::Hl, BandKind::Lh, BandKind::Hh][kind_sel];
-            let (mags, neg) = random_block(w, h, seed, 0.6, 4095);
-            let enc = encode_block(&mags, &neg, w, h, kind);
-            if enc.num_passes > 0 {
-                // Truncate to a random prefix of the coding passes.
-                let keep = 1 + keep_num % enc.num_passes;
-                let mb = enc.num_passes.div_ceil(3) as u8;
-                let segs: &[(&[u8], u32)] = &[(&enc.data, keep)];
+            let kinds = [BandKind::Ll, BandKind::Hl, BandKind::Lh, BandKind::Hh];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = T1Scratch::new();
+            let mut check = |segs: &[(&[u8], u32)], w: usize, h: usize, kind: BandKind, mb: u8| {
                 let fast = decode_block_segments(segs, w, h, kind, mb);
                 let refr = reference::decode_block_segments(segs, w, h, kind, mb);
+                let (sm, sn) = scratch.decode_block_segments(segs, w, h, kind, mb);
+                prop_assert_eq!((sm, sn), (fast.0.as_slice(), fast.1.as_slice()));
                 prop_assert_eq!(fast, refr);
+            };
+            match input {
+                0 => {
+                    let (mags, neg) = random_block(w, h, seed, 0.6, 4095);
+                    let enc = encode_block(&mags, &neg, w, h, kinds[kind_sel]);
+                    if enc.num_passes > 0 {
+                        let keep = 1 + keep_num % enc.num_passes;
+                        let mb = enc.num_passes.div_ceil(3) as u8;
+                        check(&[(&enc.data, keep)], w, h, kinds[kind_sel], mb);
+                    }
+                }
+                1 => {
+                    let (mags, neg) = random_block(w, h, seed, 0.5, 4095);
+                    let layers = rng.gen_range(2..=6);
+                    let (segments, mb) =
+                        encode_block_layers(&mags, &neg, w, h, kinds[kind_sel], layers);
+                    let kept = segments.len().min(1 + keep_num as usize % layers);
+                    let mut segs: Vec<(&[u8], u32)> = segments[..kept]
+                        .iter()
+                        .map(|s| (s.data.as_slice(), s.num_passes))
+                        .collect();
+                    if let Some(last) = segs.last_mut() {
+                        last.1 = rng.gen_range(1..=last.1);
+                    }
+                    check(&segs, w, h, kinds[kind_sel], mb);
+                }
+                2 => {
+                    let mb = rng.gen_range(1..=18u8);
+                    let bytes: Vec<Vec<u8>> = (0..rng.gen_range(1..=3))
+                        .map(|_| (0..rng.gen_range(0..64)).map(|_| rng.gen::<u8>()).collect())
+                        .collect();
+                    let segs: Vec<(&[u8], u32)> = bytes
+                        .iter()
+                        .map(|b| (b.as_slice(), rng.gen_range(0..=3 * mb as u32)))
+                        .collect();
+                    check(&segs, w, h, kinds[kind_sel], mb);
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(2..=6) {
+                        let (bw, bh) = (rng.gen_range(1..=64), rng.gen_range(1..=64));
+                        let kind = kinds[rng.gen_range(0..4usize)];
+                        let (mags, neg) = random_block(bw, bh, rng.gen(), 0.6, 4095);
+                        let enc = encode_block(&mags, &neg, bw, bh, kind);
+                        let mb = enc.num_passes.div_ceil(3) as u8;
+                        check(&[(&enc.data, enc.num_passes)], bw, bh, kind, mb);
+                    }
+                }
             }
+        }
+    }
+
+    /// Bit-plane counts the public decoders accept but the codec never
+    /// signals: up to [`MAX_BITPLANES`] decode, anything above decodes
+    /// as an all-zero block, and none of them overflows a shift (these
+    /// run with debug overflow checks).
+    #[test]
+    fn oversized_bitplane_counts_never_overflow() {
+        // 31 planes is the top: magnitudes up to 2^31 - 1 round-trip.
+        let mut mags = vec![0u32; 16];
+        mags[5] = (1 << 30) | 0x1234_5677;
+        mags[10] = 3;
+        let neg: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
+        let enc = encode_block(&mags, &neg, 4, 4, BandKind::Hh);
+        assert_eq!(enc.num_bitplanes, MAX_BITPLANES);
+        let (dm, _) = decode_block(&enc.data, 4, 4, BandKind::Hh, enc.num_passes);
+        assert_eq!(dm, mags);
+        let segs: &[(&[u8], u32)] = &[(&enc.data, enc.num_passes)];
+        assert_eq!(
+            decode_block_segments(segs, 4, 4, BandKind::Hh, 31),
+            reference::decode_block_segments(segs, 4, 4, BandKind::Hh, 31)
+        );
+
+        let zero = (vec![0u32; 16], vec![false; 16]);
+        for mb in [32u8, 40, 255] {
+            let segs: &[(&[u8], u32)] = &[(&enc.data, 1)];
+            assert_eq!(decode_block_segments(segs, 4, 4, BandKind::Ll, mb), zero);
+            assert_eq!(
+                reference::decode_block_segments(segs, 4, 4, BandKind::Ll, mb),
+                zero
+            );
+            let mut scratch = T1Scratch::new();
+            let (sm, sn) = scratch.decode_block_segments(segs, 4, 4, BandKind::Ll, mb);
+            assert_eq!((sm, sn), (zero.0.as_slice(), zero.1.as_slice()));
+        }
+        // 96 passes need 32 planes and 1000 passes 334: both saturate
+        // past MAX_BITPLANES instead of wrapping to a small count.
+        for passes in [96u32, 1000] {
+            assert_eq!(decode_block(&enc.data, 4, 4, BandKind::Lh, passes), zero);
+            assert_eq!(
+                reference::decode_block(&enc.data, 4, 4, BandKind::Lh, passes),
+                zero
+            );
         }
     }
 }

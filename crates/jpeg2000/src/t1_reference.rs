@@ -7,13 +7,139 @@
 //! optimised encoder emits byte-identical segments and the optimised
 //! decoder reconstructs identical planes, over random geometries, all
 //! band orientations and truncated pass sets.
+//!
+//! The reference decoder reads its decisions through [`MqDecoder`], a
+//! frozen copy of the one-bit-at-a-time T.800 C.3.2 flowcharts (DECODE,
+//! RENORMD, BYTEIN), not through the production [`crate::mq::MqDecoder`].
+//! An MQ bug therefore cannot hide from the bit-exactness tests by being
+//! present on both sides.
 
 use super::{
     initial_contexts, pass_sequence, zc_table_diag, zc_table_hv, PassKind, T1EncodedBlock,
-    T1Segment, CTX_MR, CTX_RL, CTX_SC, CTX_UNI, CTX_ZC, NUM_CONTEXTS,
+    T1Segment, CTX_MR, CTX_RL, CTX_SC, CTX_UNI, CTX_ZC, MAX_BITPLANES, NUM_CONTEXTS,
 };
-use crate::mq::{MqContext, MqDecoder, MqEncoder};
+use crate::mq::{MqContext, MqEncoder, STATE_TABLE};
 use crate::tile::BandKind;
+
+/// The MQ decoder exactly as the T.800 C.3.2 flowcharts draw it:
+/// branch on the interval test, resolve the conditional exchange, then
+/// renormalise one bit at a time, running BYTEIN whenever `ct` hits 0.
+#[derive(Debug, Clone)]
+pub struct MqDecoder<'a> {
+    pub(crate) c: u32,
+    pub(crate) a: u32,
+    pub(crate) ct: i32,
+    data: &'a [u8],
+    pub(crate) bp: usize,
+    renorms: u64,
+}
+
+impl<'a> MqDecoder<'a> {
+    /// INITDEC over `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        let b0 = data.first().copied().unwrap_or(0xFF);
+        let mut dec = MqDecoder {
+            c: (b0 as u32) << 16,
+            a: 0,
+            ct: 0,
+            data,
+            bp: 0,
+            renorms: 0,
+        };
+        dec.byte_in();
+        dec.c <<= 7;
+        dec.ct -= 7;
+        dec.a = 0x8000;
+        dec
+    }
+
+    /// Decisions that ran RENORMD so far.
+    pub fn renorms(&self) -> u64 {
+        self.renorms
+    }
+
+    fn byte_at(&self, i: usize) -> u8 {
+        self.data.get(i).copied().unwrap_or(0xFF)
+    }
+
+    /// BYTEIN.
+    fn byte_in(&mut self) {
+        if self.byte_at(self.bp) == 0xFF {
+            if self.byte_at(self.bp + 1) > 0x8F {
+                // Marker (or end of data): feed 1-bits.
+                self.c += 0xFF00;
+                self.ct = 8;
+            } else {
+                self.bp += 1;
+                self.c += (self.byte_at(self.bp) as u32) << 9;
+                self.ct = 7;
+            }
+        } else {
+            self.bp += 1;
+            self.c += (self.byte_at(self.bp) as u32) << 8;
+            self.ct = 8;
+        }
+    }
+
+    /// DECODE: one decision in context `cx`.
+    pub fn decode(&mut self, cx: &mut MqContext) -> bool {
+        let (qe, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
+        let qe = qe as u32;
+        self.a -= qe;
+        if (self.c >> 16) < qe {
+            // LPS_EXCHANGE.
+            let d;
+            if self.a < qe {
+                d = cx.mps;
+                cx.state = nmps;
+            } else {
+                d = !cx.mps;
+                if switch {
+                    cx.mps = !cx.mps;
+                }
+                cx.state = nlps;
+            }
+            self.a = qe;
+            self.renorm();
+            d
+        } else {
+            self.c -= qe << 16;
+            if self.a & 0x8000 != 0 {
+                return cx.mps;
+            }
+            // MPS_EXCHANGE.
+            let d;
+            if self.a < qe {
+                d = !cx.mps;
+                if switch {
+                    cx.mps = !cx.mps;
+                }
+                cx.state = nlps;
+            } else {
+                d = cx.mps;
+                cx.state = nmps;
+            }
+            self.renorm();
+            d
+        }
+    }
+
+    /// RENORMD.
+    fn renorm(&mut self) {
+        self.renorms += 1;
+        loop {
+            if self.ct == 0 {
+                self.byte_in();
+            }
+            self.a <<= 1;
+            self.c <<= 1;
+            self.ct -= 1;
+            if self.a & 0x8000 != 0 {
+                break;
+            }
+        }
+    }
+}
 
 // Per-sample state flags.
 pub(crate) const F_SIG: u8 = 1;
@@ -158,8 +284,7 @@ pub fn encode_block_layers(
     if mb == 0 {
         return (Vec::new(), 0);
     }
-    let seq = pass_sequence(mb as u32);
-    let total = seq.len();
+    let total = 3 * mb as usize - 2;
     // Contiguous pass ranges per layer, remainder to the earliest layers.
     let mut boundaries = Vec::with_capacity(num_layers);
     let (base, rem) = (total / num_layers, total % num_layers);
@@ -175,7 +300,7 @@ pub fn encode_block_layers(
     let mut segments = Vec::with_capacity(num_layers);
     let mut passes_in_segment = 0u32;
     let mut next_boundary = 0usize;
-    for (i, &(pass, p, clear)) in seq.iter().enumerate() {
+    for (i, (pass, p, clear)) in pass_sequence(mb as u32).enumerate() {
         match pass {
             PassKind::Significance => enc_sig_pass(
                 &mut mq, &mut ctxs, &mut flags, mags, negative, w, h, kind, p,
@@ -384,11 +509,13 @@ pub fn decode_block(
     if num_passes == 0 {
         return (vec![0; w * h], vec![false; w * h]);
     }
-    let mb = num_passes.div_ceil(3);
-    decode_block_segments(&[(data, num_passes)], w, h, kind, mb as u8)
+    let mb = u8::try_from(num_passes.div_ceil(3)).unwrap_or(u8::MAX);
+    decode_block_segments(&[(data, num_passes)], w, h, kind, mb)
 }
 
-/// Reference [`super::decode_block_segments`].
+/// Reference [`super::decode_block_segments`], over the flowchart
+/// [`MqDecoder`]. Like the fast path it treats `mb > MAX_BITPLANES` as
+/// an all-zero block.
 pub fn decode_block_segments(
     segments: &[(&[u8], u32)],
     w: usize,
@@ -398,10 +525,9 @@ pub fn decode_block_segments(
 ) -> (Vec<u32>, Vec<bool>) {
     let mut mags = vec![0u32; w * h];
     let mut negative = vec![false; w * h];
-    if mb == 0 || w == 0 || h == 0 || segments.is_empty() {
+    if mb == 0 || mb > MAX_BITPLANES || w == 0 || h == 0 || segments.is_empty() {
         return (mags, negative);
     }
-    let seq = pass_sequence(mb as u32);
     let total_passes: u32 = segments.iter().map(|&(_, n)| n).sum();
     let mut flags = vec![0u8; w * h];
     let mut ctxs = initial_contexts();
@@ -411,7 +537,7 @@ pub fn decode_block_segments(
         None => return (mags, negative),
     };
     let mut mq = MqDecoder::new(seg_data);
-    for &(pass, p, clear) in seq.iter().take(total_passes as usize) {
+    for (pass, p, clear) in pass_sequence(mb as u32).take(total_passes as usize) {
         while seg_left == 0 {
             match seg_iter.next() {
                 Some(&(d, n)) => {
